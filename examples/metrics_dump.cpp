@@ -10,8 +10,9 @@
 // counters, latency histogram, planner predicted-vs-observed), a
 // SearchBatch (batch counters), the catalog lifecycle ingest → flush →
 // delete → merge (flush/merge counters + gauges), forced sparse probes
-// (sparse-cache hits/misses), and one deliberately failing
-// SegmentReader::Open (failure counter).
+// (sparse-cache hits/misses), forced TA over the catalog (impact-cache
+// hits/misses), and one deliberately failing SegmentReader::Open
+// (failure counter).
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -132,6 +133,16 @@ int main(int argc, char** argv) {
   for (const Query& query : queries) {
     if (auto r = db.Search(QueryRequest{query}); !r.ok()) {
       return Fail("dynamic search", r.status());
+    }
+  }
+  // Forced TA reads the snapshot's cached impact orders (a miss on each
+  // term's first use, hits on the repeat pass).
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < 4; ++i) {
+      QueryRequest ta;
+      ta.query = queries[i];
+      ta.options.strategy = PhysicalStrategy::kFaginTA;
+      if (auto r = db.Search(ta); !r.ok()) return Fail("ta", r.status());
     }
   }
 

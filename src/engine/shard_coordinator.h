@@ -3,7 +3,7 @@
 // The sharded analogue of the engine's plan-and-run path. For one query it
 //
 //   1. computes each shard's aggregate upper bound — the sum of the query
-//      terms' per-shard max impacts from the snapshot's bound cache — and
+//      terms' per-shard max impacts from the snapshot's impact cache — and
 //      orders shards by descending bound (ties to the lower index);
 //   2. plans per shard (each shard gets its own CardinalityEstimator over
 //      the shard's *local* df and its own storage-signal inputs, so a

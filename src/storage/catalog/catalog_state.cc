@@ -292,52 +292,26 @@ std::unique_ptr<PostingCursor> CatalogState::OpenMergedCursor(
 }
 
 std::optional<uint32_t> CatalogState::FindTf(TermId t, DocId g) const {
+  if (g < doc_space()) {
+    const auto [comp, local] = Locate(g);
+    if (comp < segments_.size()) {
+      const CatalogSegment& seg = *segments_[comp];
+      // The segment's block-directory probe ticks the one random read.
+      if (seg.deleted.empty() || seg.deleted[local] == 0) {
+        return seg.reader->FindTf(t, local);
+      }
+    } else if (memtable_deleted_.empty() || memtable_deleted_[local] == 0) {
+      CostTicker::TickRandom();
+      const std::vector<Posting>& postings = memtable_->postings(t);
+      const auto it = std::lower_bound(
+          postings.begin(), postings.end(), local,
+          [](const Posting& p, DocId d) { return p.doc < d; });
+      if (it == postings.end() || it->doc != local) return std::nullopt;
+      return it->tf;
+    }
+  }
   CostTicker::TickRandom();
-  if (g >= doc_space()) return std::nullopt;
-  const auto [comp, local] = Locate(g);
-  if (comp == segments_.size()) {
-    if (!memtable_deleted_.empty() && memtable_deleted_[local] != 0) {
-      return std::nullopt;
-    }
-    const std::vector<Posting>& postings = memtable_->postings(t);
-    const auto it = std::lower_bound(
-        postings.begin(), postings.end(), local,
-        [](const Posting& p, DocId d) { return p.doc < d; });
-    if (it == postings.end() || it->doc != local) return std::nullopt;
-    return it->tf;
-  }
-  const CatalogSegment& seg = *segments_[comp];
-  if (!seg.deleted.empty() && seg.deleted[local] != 0) return std::nullopt;
-  if (seg.reader->DocFrequency(t) == 0) return std::nullopt;
-  const auto cursor = seg.reader->OpenCursor(t);
-  cursor->advance_to(local);
-  if (cursor->at_end() || cursor->doc() != local) return std::nullopt;
-  return cursor->tf();
-}
-
-double CatalogState::TermBound(const ScoringModel& model, TermId t) const {
-  {
-    std::lock_guard<std::mutex> lock(bounds_mutex_);
-    if (bound_ready_.empty()) {
-      bound_.assign(num_terms(), 0.0);
-      bound_ready_.assign(num_terms(), 0);
-    }
-    if (bound_ready_[t] != 0) return bound_[t];
-  }
-  // Exact bound under this snapshot's statistics: max current weight over
-  // the live postings. Computed outside the lock (idempotent — concurrent
-  // first users store the same value), cached for every later query on
-  // this state.
-  double bound = 0.0;
-  for (auto cursor = OpenMergedCursor(t, 0.0); !cursor->at_end();
-       cursor->next()) {
-    bound = std::max(bound,
-                     model.Weight(t, Posting{cursor->doc(), cursor->tf()}));
-  }
-  std::lock_guard<std::mutex> lock(bounds_mutex_);
-  bound_[t] = bound;
-  bound_ready_[t] = 1;
-  return bound;
+  return std::nullopt;
 }
 
 std::string CatalogState::Describe() const {

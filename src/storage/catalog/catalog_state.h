@@ -19,25 +19,30 @@
 // computes bit-identical weights to one bound to a fresh InvertedFile of
 // the surviving documents.
 //
-// Impact bounds: per-segment stored max_impacts go stale the moment the
-// collection statistics move (they were computed under flush-time df/
-// avgdl/N), so the snapshot does not trust them. Instead each state keeps
-// a build-once bound cache: MaxImpact(t) is the exact maximum current
-// weight over the term's live postings, computed on first use under this
-// snapshot's statistics (O(live postings of t)) and shared by later
-// queries. Exact bounds keep max-score pruning decisions bit-identical to
-// a fresh index of the survivors.
+// Impact bounds and sorted access: per-segment stored max_impacts go
+// stale the moment the collection statistics move (they were computed
+// under flush-time df/avgdl/N), so the snapshot does not trust them.
+// Instead each state keeps a build-once TermImpactCache: on a term's first
+// use it weights the term's live postings under this snapshot's
+// statistics (one merged pass) and keeps the top
+// TermImpactCache::kPrefix postings in impact order, building deeper
+// prefixes (up to the complete order) only for cursors that read past
+// them. The order serves the read view's OpenImpactCursor (the Fagin
+// family's sorted access, a pointer copy after the first use). The same
+// cache serves MaxImpact(t), the exact maximum current weight — the
+// order's first weight, or one max scan for a term never read in impact
+// order — which keeps max-score pruning decisions bit-identical to a
+// fresh index of the survivors.
 //
 // Thread-safety: a published CatalogState is immutable except for the
-// internally synchronized bound cache (the SparseIndexCache pattern);
-// snapshots are shared by shared_ptr and may serve many queries while the
-// catalog publishes successor states.
+// internally synchronized impact and sparse-index caches; snapshots are
+// shared by shared_ptr and may serve many queries while the catalog
+// publishes successor states.
 #ifndef MOA_STORAGE_CATALOG_CATALOG_STATE_H_
 #define MOA_STORAGE_CATALOG_CATALOG_STATE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -46,6 +51,7 @@
 #include "ir/scoring.h"
 #include "storage/catalog/forward_index.h"
 #include "storage/catalog/memtable.h"
+#include "storage/catalog/term_impact_cache.h"
 #include "storage/segment/posting_cursor.h"
 #include "storage/segment/segment_reader.h"
 #include "storage/sparse_index_cache.h"
@@ -146,16 +152,23 @@ class CatalogState {
 
   /// Random access: tf of term t in the live document at global id g
   /// (nullopt when absent or tombstoned). Locates the one owning
-  /// component and probes it directly — no merged-cursor construction —
-  /// which is what keeps Fagin-style random access cheap over a
-  /// multi-segment snapshot. Ticks one random read.
+  /// component and probes it directly — a segment's block-directory probe
+  /// (SegmentReader::FindTf) or a binary search of the memtable list, no
+  /// cursor construction — which is what keeps Fagin-style random access
+  /// cheap over a multi-segment snapshot. Ticks one random read.
   std::optional<uint32_t> FindTf(TermId t, DocId g) const;
 
   /// Exact max current weight over t's live postings under `model`
-  /// (bound to this snapshot's stats view). Cached build-once per state;
-  /// every caller must use the same model arithmetic — the IndexCatalog
-  /// serves one scoring kind per catalog.
-  double TermBound(const ScoringModel& model, TermId t) const;
+  /// (bound to this snapshot's stats view), from the impact cache (see
+  /// the file comment). Every caller must use the same model
+  /// arithmetic — the IndexCatalog serves one scoring kind per catalog.
+  double TermBound(const ScoringModel& model, TermId t) const {
+    return impact_cache_.MaxImpact(model, t);
+  }
+
+  /// Build-once impact orders of this snapshot's live postings (see the
+  /// file comment). Internally synchronized.
+  const TermImpactCache& impact_cache() const { return impact_cache_; }
 
   /// Human-readable storage composition, e.g.
   /// "memtable(3 docs) + segments[seg 1: 100 docs, seg 2: 50 docs (-4)]".
@@ -169,7 +182,7 @@ class CatalogState {
   /// Snapshot-scoped on purpose: a sparse index materializes the term's
   /// live postings, which change across snapshots, so a catalog-wide
   /// cache would serve stale postings after any mutation. Internally
-  /// synchronized (build-once / read-many), like the bound cache.
+  /// synchronized (build-once / read-many), like the impact cache.
   SparseIndexCache& sparse_cache() const { return sparse_cache_; }
 
  private:
@@ -189,10 +202,8 @@ class CatalogState {
   /// base_[i] = first global id of segment i; base_.back() = memtable.
   std::vector<uint64_t> base_;
 
-  // Build-once bound cache (see file comment).
-  mutable std::mutex bounds_mutex_;
-  mutable std::vector<double> bound_;
-  mutable std::vector<uint8_t> bound_ready_;
+  // Build-once impact orders and bounds (see file comment).
+  TermImpactCache impact_cache_{this};
   // Snapshot-scoped sparse-index cache (see sparse_cache()).
   mutable SparseIndexCache sparse_cache_;
 };
@@ -251,6 +262,13 @@ class CatalogReadView final : public PostingSource {
   }
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override {
     return state_->OpenMergedCursor(t, state_->TermBound(*model_, t));
+  }
+  /// Sorted access from the snapshot's impact cache, weighted by this
+  /// view's model; `model` itself is not consulted (it must match, the
+  /// impact-order precondition).
+  std::unique_ptr<ImpactCursor> OpenImpactCursor(
+      TermId t, const ScoringModel& /*model*/) const override {
+    return state_->impact_cache().OpenCursor(*model_, t, DocFrequency(t));
   }
   std::optional<uint32_t> FindTf(TermId t, DocId doc) const override {
     return state_->FindTf(t, doc);

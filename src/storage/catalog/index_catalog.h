@@ -99,7 +99,7 @@ class IndexCatalog {
     /// Catalog directory for segments + MANIFEST. Empty = memory-only:
     /// adds and deletes work, Flush/Merge return FailedPrecondition.
     std::string dir;
-    /// Scoring kind served by read views; the snapshot bound cache is
+    /// Scoring kind served by read views; the snapshot impact cache is
     /// computed under this model, so one catalog serves one kind. Flush
     /// and merge also stamp segment impact bounds (and the MOAFRG01
     /// fragment sidecar) under a model of this kind bound to the flushed

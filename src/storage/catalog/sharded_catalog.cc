@@ -184,12 +184,11 @@ struct ShardedSnapshot::ShardEntry {
   ShardReadView source;
   CatalogComposition composition;
 
-  // Build-once per-(shard, term) bound cache under the snapshot's global
-  // statistics (same pattern as CatalogState's own cache, which cannot be
-  // reused here — see the header's file comment).
-  mutable std::mutex bounds_mutex;
-  mutable std::vector<double> bound;
-  mutable std::vector<uint8_t> bound_ready;
+  // Build-once impact orders and bounds of the shard's live postings
+  // under the snapshot's global statistics (the state's own cache, keyed
+  // to the shard's local statistics, cannot be reused — see the header's
+  // file comment).
+  TermImpactCache impacts{state.get()};
 };
 
 ShardedSnapshot::ShardedSnapshot(
@@ -250,30 +249,13 @@ const CatalogComposition& ShardedSnapshot::shard_composition(size_t s) const {
 
 double ShardedSnapshot::ShardTermBound(size_t s, TermId t) const {
   const ShardEntry& entry = *entries_[s];
-  // A term absent from this shard (the *local* df, not the global one the
-  // read view reports) bounds at zero without touching the cache.
-  if (entry.state->stats().df[t] == 0) return 0.0;
-  {
-    std::lock_guard<std::mutex> lock(entry.bounds_mutex);
-    if (entry.bound_ready.empty()) {
-      entry.bound.assign(global_.df.size(), 0.0);
-      entry.bound_ready.assign(global_.df.size(), 0);
-    }
-    if (entry.bound_ready[t] != 0) return entry.bound[t];
-  }
-  // Exact bound under the snapshot's global statistics: max current weight
-  // over the shard's live postings. Computed outside the lock (idempotent;
-  // concurrent first users store the same value).
-  double bound = 0.0;
-  for (auto cursor = entry.state->OpenMergedCursor(t, 0.0); !cursor->at_end();
-       cursor->next()) {
-    bound = std::max(
-        bound, entry.model->Weight(t, Posting{cursor->doc(), cursor->tf()}));
-  }
-  std::lock_guard<std::mutex> lock(entry.bounds_mutex);
-  entry.bound[t] = bound;
-  entry.bound_ready[t] = 1;
-  return bound;
+  return entry.impacts.MaxImpact(*entry.model, t);
+}
+
+std::unique_ptr<ImpactCursor> ShardedSnapshot::OpenShardImpactCursor(
+    size_t s, TermId t) const {
+  const ShardEntry& entry = *entries_[s];
+  return entry.impacts.OpenCursor(*entry.model, t, global_.df[t]);
 }
 
 double ShardedSnapshot::ShardQueryBound(size_t s, const Query& query) const {
@@ -345,6 +327,11 @@ double ShardReadView::MaxImpact(TermId t) const {
 
 std::unique_ptr<PostingCursor> ShardReadView::OpenCursor(TermId t) const {
   return state_->OpenMergedCursor(t, snapshot_->ShardTermBound(shard_, t));
+}
+
+std::unique_ptr<ImpactCursor> ShardReadView::OpenImpactCursor(
+    TermId t, const ScoringModel& /*model*/) const {
+  return snapshot_->OpenShardImpactCursor(shard_, t);
 }
 
 }  // namespace moa

@@ -25,16 +25,18 @@
 // scatter-gather top-N merge bit-identical to single-catalog execution
 // for every strategy whose reported scores are full deterministic sums.
 //
-// Impact bounds. A shard's CatalogState keeps its own build-once bound
-// cache, but those bounds are computed under *that catalog's* statistics;
-// under sharding the weights depend on the global statistics, which move
-// whenever any other shard mutates — while the unchanged shard's state
-// object (and its cache) persists. The ShardedSnapshot therefore owns the
-// per-(shard, term) bound caches itself: exact max current weight under
-// the snapshot's global statistics, computed on first use and shared by
-// every query on this snapshot. The per-shard *query* bound — the sum of
-// a query's term bounds, the shard-skipping currency of the coordinator —
-// comes from the same cache.
+// Impact orders and bounds. A shard's CatalogState keeps its own
+// build-once impact cache, but its weights are computed under *that
+// catalog's* statistics; under sharding the weights depend on the global
+// statistics, which move whenever any other shard mutates — while the
+// unchanged shard's state object (and its cache) persists. The
+// ShardedSnapshot therefore owns one TermImpactCache per shard: the
+// shard's live postings in impact order under the snapshot's global
+// statistics, built on a term's first use and shared by every query on
+// this snapshot. It serves the shard view's sorted access
+// (OpenImpactCursor) and the exact per-(shard, term) bound. The per-shard *query* bound — the sum of a query's term bounds,
+// the shard-skipping currency of the coordinator — comes from the same
+// cache.
 //
 // Thread-safety: mutations are serialized internally; Snapshot() may race
 // mutations freely (readers keep serving the snapshot they hold, exactly
@@ -193,9 +195,9 @@ class ShardStatsView final : public CollectionStatsView {
 /// DocFrequency reports the *global* df — strategies that order or gate
 /// work by df (max-score's term order, Fagin's accessor construction)
 /// must behave identically on every shard; the shard's actual list can be
-/// shorter or empty, which cursors handle naturally. MaxImpact serves the
-/// snapshot-owned per-shard bound (see file comment). Cursors and random
-/// access speak shard-local doc ids.
+/// shorter or empty, which cursors handle naturally. MaxImpact and
+/// OpenImpactCursor serve the snapshot-owned per-shard impact cache (see
+/// file comment). Cursors and random access speak shard-local doc ids.
 class ShardReadView final : public PostingSource {
  public:
   ShardReadView(const ShardedSnapshot* snapshot, size_t shard,
@@ -213,6 +215,12 @@ class ShardReadView final : public PostingSource {
   std::optional<uint32_t> FindTf(TermId t, DocId doc) const override {
     return state_->FindTf(t, doc);
   }
+  /// Sorted access from the snapshot's per-shard impact cache, weighted
+  /// by the shard's global-stats model; `model` itself is not consulted
+  /// (it must match, the impact-order precondition). size() reports the
+  /// global df, like DocFrequency.
+  std::unique_ptr<ImpactCursor> OpenImpactCursor(
+      TermId t, const ScoringModel& model) const override;
 
  private:
   const ShardedSnapshot* snapshot_;
@@ -223,8 +231,8 @@ class ShardReadView final : public PostingSource {
 /// \brief One consistent snapshot across all shards.
 ///
 /// Owns the per-shard serving bundles (stats view + scoring model + read
-/// view + bound cache) and the aggregated global statistics. Immutable
-/// except for the internally synchronized bound caches; shared by
+/// view + impact cache) and the aggregated global statistics. Immutable
+/// except for the internally synchronized impact caches; shared by
 /// shared_ptr like CatalogState.
 class ShardedSnapshot {
  public:
@@ -253,8 +261,13 @@ class ShardedSnapshot {
   const CatalogComposition& shard_composition(size_t s) const;
 
   /// Exact max current weight of term t's live postings in shard s under
-  /// the snapshot's global statistics. Build-once per (shard, term).
+  /// the snapshot's global statistics, from the shard's impact cache (0
+  /// when the shard holds no live posting of t). Build-once per
+  /// (shard, term).
   double ShardTermBound(size_t s, TermId t) const;
+  /// Sorted access over t's live postings in shard s from the same cache.
+  std::unique_ptr<ImpactCursor> OpenShardImpactCursor(size_t s,
+                                                      TermId t) const;
   /// Upper bound on any single document's score for `query` in shard s:
   /// the sum of the query terms' shard bounds. This is the coordinator's
   /// shard-skipping currency.

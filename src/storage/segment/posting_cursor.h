@@ -167,8 +167,9 @@ class FragmentCursor {
 /// \brief A collection of posting lists addressable by TermId.
 ///
 /// Implementations: InMemoryPostingSource (below) over an InvertedFile,
-/// SegmentReader (segment_reader.h) over a compressed mmap-backed segment
-/// and CatalogReadView (storage/catalog) over a multi-segment snapshot.
+/// SegmentReader (segment_reader.h) over a compressed mmap-backed segment,
+/// CatalogReadView (storage/catalog) over a multi-segment snapshot and
+/// ShardReadView over one shard of a sharded snapshot.
 /// Sources are immutable after construction and safe for concurrent reads;
 /// each OpenCursor/OpenImpactCursor/OpenFragmentCursor call returns an
 /// independent cursor.
@@ -190,7 +191,8 @@ class PostingSource {
   /// Random access: term frequency of `doc` in t's list (nullopt when the
   /// document does not contain the term). Ticks one random read. The
   /// default opens a fresh cursor and skips to the target; implementations
-  /// with a cheaper path (in-memory binary search) override.
+  /// with a cheaper path override (in-memory binary search, the segment's
+  /// one-block directory probe).
   virtual std::optional<uint32_t> FindTf(TermId t, DocId doc) const;
 
   /// t's impact-ordered fragment directory. The default serves the whole
@@ -206,7 +208,10 @@ class PostingSource {
   /// decoded once an undecoded fragment's bound could still beat the best
   /// pending posting, so fragmented sources pay for the prefix actually
   /// consumed. InMemoryPostingSource overrides with the materialized
-  /// impact order.
+  /// impact order; the catalog views (CatalogReadView and the sharded
+  /// ShardReadView) override with their snapshot's build-once
+  /// TermImpactCache, so sorted access over a snapshot decodes each
+  /// term's live postings once per snapshot instead of once per query.
   virtual std::unique_ptr<ImpactCursor> OpenImpactCursor(
       TermId t, const ScoringModel& model) const;
 };

@@ -563,6 +563,52 @@ std::unique_ptr<PostingCursor> SegmentReader::OpenCursor(TermId t) const {
       term_payload_bytes(entry, t), entry.df, entry.max_impact);
 }
 
+std::optional<uint32_t> SegmentReader::FindTf(TermId t, DocId doc) const {
+  CostTicker::TickRandom();
+  const TermDirEntry entry = term_entry(t);
+  const uint8_t* blocks = block_dir_ + entry.block_begin * sizeof(BlockDirEntry);
+  // First block whose last_doc >= doc; the blocks before it count as
+  // skipped, exactly as a cursor's gallop from block 0 would tick them.
+  uint32_t lo = 0;
+  uint32_t hi = entry.block_count;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (LoadPod<BlockDirEntry>(blocks, mid).last_doc < doc) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  CostTicker::TickBlockSkipped(lo);
+  if (lo == entry.block_count) return std::nullopt;
+  const BlockDirEntry block = LoadPod<BlockDirEntry>(blocks, lo);
+  const uint64_t end = lo + 1 < entry.block_count
+                           ? LoadPod<BlockDirEntry>(blocks, lo + 1).offset
+                           : term_payload_bytes(entry, t);
+  thread_local std::vector<DocId> docs;
+  thread_local std::vector<uint32_t> tfs;
+  if (docs.size() < block.count) {
+    docs.resize(block.count);
+    tfs.resize(block.count);
+  }
+  // A block that fails to decode reads as absent, like the cursor that
+  // fails closed.
+  if (!DecodePostingBlock(codec_, payload_ + entry.payload_offset + block.offset,
+                          end - block.offset, block.count, block.last_doc,
+                          docs.data(), tfs.data())
+           .ok()) {
+    return std::nullopt;
+  }
+  CostTicker::TickBlockDecoded();
+  // doc <= block.last_doc, the final decoded doc, so the search lands
+  // inside the block.
+  const size_t i = static_cast<size_t>(
+      std::lower_bound(docs.data(), docs.data() + block.count, doc) -
+      docs.data());
+  if (docs[i] != doc) return std::nullopt;
+  return tfs[i];
+}
+
 /// FragmentCursor over one term's validated MOAFRG01 entries: every
 /// fragment is served by the ordinary lazy block cursor restricted to the
 /// fragment's block run, so decoding one fragment never touches its

@@ -56,6 +56,12 @@ class SegmentReader final : public PostingSource {
   }
   double MaxImpact(TermId t) const override;
   std::unique_ptr<PostingCursor> OpenCursor(TermId t) const override;
+  /// Random access without a cursor: binary-searches the term's block
+  /// directory by last_doc, decodes only the candidate block into a
+  /// thread-local buffer and binary-searches it. Ticks one random read
+  /// and the same block decoded/skipped counts as a fresh cursor's
+  /// advance_to would.
+  std::optional<uint32_t> FindTf(TermId t, DocId doc) const override;
   /// Impact-ordered fragments from the MOAFRG01 sidecar: each fragment is
   /// a run of the term's blocks decoded through the ordinary lazy block
   /// cursor. Falls back to the single-fragment default when the segment

@@ -2,17 +2,22 @@
 // and manifest round trips with corruption negatives, flush/merge/delete
 // transitions, tombstone visibility, exact incremental statistics,
 // recovery from the manifest, and crash-safety of publication (kill-point
-// between segment write and manifest rename leaves a readable catalog).
+// between segment write and manifest rename leaves a readable catalog),
+// and the snapshot's term impact cache (bit-exact sorted access and
+// bounds, snapshot isolation, concurrent first use).
 #include "storage/catalog/index_catalog.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "storage/catalog/forward_index.h"
@@ -60,6 +65,80 @@ std::vector<Posting> Scan(const CatalogState& state, TermId t) {
     out.push_back(Posting{c->doc(), c->tf()});
   }
   return out;
+}
+
+/// Every (doc, tf, weight) an impact cursor emits, in order.
+using ImpactSequence = std::vector<std::tuple<DocId, uint32_t, double>>;
+
+ImpactSequence Drain(ImpactCursor& cursor) {
+  ImpactSequence out;
+  for (; !cursor.at_end(); cursor.next()) {
+    out.emplace_back(cursor.doc(), cursor.tf(), cursor.weight());
+  }
+  cursor.next();  // next at end stays at end
+  EXPECT_TRUE(cursor.at_end());
+  return out;
+}
+
+/// The view's cached sorted access.
+ImpactSequence Cached(const CatalogReadView& view, TermId t) {
+  return Drain(*view.OpenImpactCursor(t, *view.model()));
+}
+
+/// The reference sorted access: the PostingSource default — the lazy
+/// fragment cursor over one whole-list fragment of the merged cursor.
+ImpactSequence Reference(const CatalogReadView& view, TermId t) {
+  return Drain(*view.PostingSource::OpenImpactCursor(t, *view.model()));
+}
+
+/// Terms of the impact-cache catalog below, by live df against the
+/// cache's prefix tiers (kPrefix = 64, then 512).
+constexpr TermId kBelowPrefix = 2;   // live df 22
+constexpr TermId kAtPrefix = 3;      // live df exactly 64
+constexpr TermId kAbovePrefix = 4;   // live df exactly 65
+constexpr TermId kPastSecondTier = 5;  // live df > 512
+bool Doomed(size_t i) { return i % 13 == 5; }
+
+/// 900 documents over two segments (0..299, 300..599) and the memtable
+/// (600..899), tombstones in all three components (every i % 13 == 5).
+/// Even documents are padded to one length, so equal tfs weigh equally
+/// and ties (broken by ascending doc) are common.
+std::unique_ptr<IndexCatalog> ImpactCatalog(const std::string& dir) {
+  IndexCatalog::Options options = InDir(dir);
+  options.segment_block_size = 4;  // many blocks per list
+  auto catalog = MustCreate(options);
+  size_t at = 0, above = 0;
+  std::vector<DocTerms> docs;
+  for (size_t i = 0; i < 900; ++i) {
+    DocTerms d;
+    d.emplace_back(1, 1 + i % 4);
+    if (i % 40 == 7) d.emplace_back(kBelowPrefix, 1 + i % 3);
+    if (i % 12 == 0 && (Doomed(i) || at < 64)) {
+      d.emplace_back(kAtPrefix, 1 + i % 5);
+      at += Doomed(i) ? 0 : 1;
+    }
+    if (i % 11 == 1 && (Doomed(i) || above < 65)) {
+      d.emplace_back(kAbovePrefix, 1 + (i / 11) % 4);
+      above += Doomed(i) ? 0 : 1;
+    }
+    if (i % 3 != 0) d.emplace_back(kPastSecondTier, 1 + (i / 3) % 6);
+    uint32_t len = 0;
+    for (const auto& [t, tf] : d) len += tf;
+    if (i % 2 == 0) d.emplace_back(0, 30 - len);
+    docs.push_back(d);
+  }
+  EXPECT_EQ(at, 64u);
+  EXPECT_EQ(above, 65u);
+  EXPECT_TRUE(catalog->AddDocuments({docs.begin(), docs.begin() + 300}).ok());
+  EXPECT_TRUE(catalog->Flush().ok());
+  EXPECT_TRUE(
+      catalog->AddDocuments({docs.begin() + 300, docs.begin() + 600}).ok());
+  EXPECT_TRUE(catalog->Flush().ok());
+  EXPECT_TRUE(catalog->AddDocuments({docs.begin() + 600, docs.end()}).ok());
+  for (DocId i = 0; i < 900; ++i) {
+    if (Doomed(i)) EXPECT_TRUE(catalog->DeleteDocument(i).ok());
+  }
+  return catalog;
 }
 
 TEST(MemtableTest, ValidatesDocuments) {
@@ -456,6 +535,99 @@ TEST(IndexCatalogTest, OpenRejectsTamperedSidecar) {
   wrong.Append({{2, 3}, {3, 1}});  // tf drifted
   ASSERT_TRUE(WriteForwardIndex(wrong, dir + "/" + ForwardFileName(1)).ok());
   EXPECT_FALSE(IndexCatalog::Open(InDir(dir)).ok());
+}
+
+TEST(TermImpactCacheTest, CachedOrderMatchesLazyFragmentOrderBitForBit) {
+  auto catalog = ImpactCatalog(FreshDir("impact"));
+  const auto view = catalog->OpenReadView();
+  const CatalogState& state = view->state();
+  ASSERT_EQ(state.segments().size(), 2u);
+  EXPECT_GT(state.segments()[0]->num_deleted, 0u);
+  EXPECT_GT(state.segments()[1]->num_deleted, 0u);
+  EXPECT_TRUE(std::count(state.memtable_deleted().begin(),
+                         state.memtable_deleted().end(), 1) > 0);
+  EXPECT_EQ(state.stats().df[kBelowPrefix], 22u);
+  EXPECT_EQ(state.stats().df[kAtPrefix], TermImpactCache::kPrefix);
+  EXPECT_EQ(state.stats().df[kAbovePrefix], TermImpactCache::kPrefix + 1);
+  EXPECT_GT(state.stats().df[kPastSecondTier],
+            TermImpactCache::kPrefix * TermImpactCache::kGrowth);
+
+  for (TermId t = 0; t < kVocab; ++t) {
+    // Bound first on even terms, sorted access first on odd ones: either
+    // first use must build the same order.
+    double bound = t % 2 == 0 ? view->MaxImpact(t) : 0.0;
+    const ImpactSequence cached = Cached(*view, t);
+    if (t % 2 != 0) bound = view->MaxImpact(t);
+    const ImpactSequence reference = Reference(*view, t);
+    ASSERT_EQ(cached, reference) << "term " << t;
+    EXPECT_EQ(cached.size(), state.stats().df[t]) << "term " << t;
+    EXPECT_EQ(view->OpenImpactCursor(t, *view->model())->size(),
+              view->DocFrequency(t));
+    EXPECT_EQ(bound, cached.empty() ? 0.0 : std::get<2>(cached.front()))
+        << "term " << t;
+    // A second cursor over the now-cached (and deepened) order.
+    EXPECT_EQ(Cached(*view, t), reference) << "term " << t;
+  }
+}
+
+TEST(TermImpactCacheTest, PinnedViewKeepsItsOrderAcrossMutations) {
+  auto catalog = ImpactCatalog(FreshDir("impact_pinned"));
+  const auto pinned = catalog->OpenReadView();
+  // kAtPrefix is cached before the mutations; kAbovePrefix is first
+  // touched after them and must still see the pinned statistics.
+  const ImpactSequence before = Cached(*pinned, kAtPrefix);
+  const double before_bound = pinned->MaxImpact(kAtPrefix);
+
+  const DocId top_doc = std::get<0>(before.front());
+  ASSERT_TRUE(catalog->DeleteDocument(top_doc).ok());
+  ASSERT_TRUE(catalog->AddDocuments({{{kAtPrefix, 9}, {kAbovePrefix, 9}},
+                                     {{kAtPrefix, 1}}})
+                  .ok());
+
+  EXPECT_EQ(Cached(*pinned, kAtPrefix), before);
+  EXPECT_EQ(pinned->MaxImpact(kAtPrefix), before_bound);
+  EXPECT_EQ(Cached(*pinned, kAbovePrefix), Reference(*pinned, kAbovePrefix));
+  EXPECT_EQ(pinned->state().stats().df[kAbovePrefix], 65u);
+
+  const auto fresh = catalog->OpenReadView();
+  const ImpactSequence after = Cached(*fresh, kAtPrefix);
+  EXPECT_EQ(after, Reference(*fresh, kAtPrefix));
+  EXPECT_EQ(after.size(), before.size() + 1);
+  EXPECT_NE(after, before);
+  // The tf-9 newcomer leads; the deleted former leader is gone.
+  const DocId newcomer = static_cast<DocId>(fresh->state().doc_space() - 2);
+  EXPECT_EQ(std::get<0>(after.front()), newcomer);
+  for (const auto& entry : after) EXPECT_NE(std::get<0>(entry), top_doc);
+  EXPECT_EQ(fresh->MaxImpact(kAtPrefix), std::get<2>(after.front()));
+  EXPECT_EQ(Cached(*fresh, kAbovePrefix), Reference(*fresh, kAbovePrefix));
+}
+
+TEST(TermImpactCacheTest, ConcurrentFirstUseSeesOneOrder) {
+  auto catalog = ImpactCatalog(FreshDir("impact_concurrent"));
+  const auto view = catalog->OpenReadView();
+  constexpr size_t kThreads = 8;
+  std::vector<ImpactSequence> seen(kThreads);
+  std::vector<double> bounds(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Half start with the bound, half with the cursor; every cursor
+      // then races through the deeper tiers too.
+      if (i % 2 == 0) bounds[i] = view->MaxImpact(kPastSecondTier);
+      seen[i] = Cached(*view, kPastSecondTier);
+      if (i % 2 != 0) bounds[i] = view->MaxImpact(kPastSecondTier);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ImpactSequence reference = Reference(*view, kPastSecondTier);
+  ASSERT_FALSE(reference.empty());
+  for (size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], reference) << "thread " << i;
+    EXPECT_EQ(bounds[i], std::get<2>(reference.front())) << "thread " << i;
+  }
 }
 
 TEST(IndexCatalogTest, CreateRefusesExistingCatalogDirectory) {

@@ -3,7 +3,9 @@
 // Covers the sharded storage contract from the bottom up: the global/local
 // id interleaving, least-loaded routing (identity ids from a pristine
 // catalog), consistent multi-shard snapshots aggregating global
-// statistics, the snapshot-owned per-(shard, term) bound cache, the
+// statistics, the snapshot-owned per-shard impact cache (bit-exact sorted
+// access and bounds under global statistics, snapshot isolation,
+// concurrent first use), the
 // coordinator's bound-ordered visiting with strict-below-n-th shard
 // skipping (exact skipped-work accounting in CostCounters), durability
 // through per-shard MANIFESTs, and — at the engine level — that an
@@ -13,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -40,6 +45,147 @@ DocTerms SynthDoc(Rng& rng) {
                   1 + static_cast<uint32_t>(rng.Uniform(4)));
   }
   return DocTerms(terms.begin(), terms.end());
+}
+
+/// Every (doc, tf, weight) an impact cursor emits, in order.
+using ImpactSequence = std::vector<std::tuple<DocId, uint32_t, double>>;
+
+ImpactSequence Drain(ImpactCursor& cursor) {
+  ImpactSequence out;
+  for (; !cursor.at_end(); cursor.next()) {
+    out.emplace_back(cursor.doc(), cursor.tf(), cursor.weight());
+  }
+  return out;
+}
+
+/// Shard s's cached sorted access over t.
+ImpactSequence Cached(const ShardedSnapshot& snap, size_t s, TermId t) {
+  return Drain(
+      *snap.shard_source(s).OpenImpactCursor(t, snap.shard_model(s)));
+}
+
+/// The reference: the PostingSource default (lazy fragment cursor over
+/// the shard's merged cursor) under the same global-stats model.
+ImpactSequence Reference(const ShardedSnapshot& snap, size_t s, TermId t) {
+  return Drain(*snap.shard_source(s).PostingSource::OpenImpactCursor(
+      t, snap.shard_model(s)));
+}
+
+constexpr TermId kDense = 1;  // in every document: > 512 live per shard
+
+/// 3 shards in `dir`, 1800 documents: two flushed rounds and a memtable
+/// round per shard, tombstones (every global id % 13 == 5) in all three.
+std::unique_ptr<ShardedCatalog> ImpactShards(const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  ShardedCatalog::Options options;
+  options.num_shards = 3;
+  options.shard.num_terms = kVocab;
+  options.shard.dir = dir;
+  options.shard.segment_block_size = 4;
+  auto created = ShardedCatalog::Create(options);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<ShardedCatalog> catalog = std::move(created).ValueOrDie();
+  Rng rng(77);
+  for (int round = 0; round < 3; ++round) {
+    std::vector<DocTerms> batch;
+    for (int i = 0; i < 600; ++i) {
+      DocTerms d = SynthDoc(rng);
+      d.erase(std::remove_if(d.begin(), d.end(),
+                             [](const auto& p) { return p.first == kDense; }),
+              d.end());
+      d.insert(d.begin(), {kDense, 1 + static_cast<uint32_t>(i % 5)});
+      batch.push_back(d);
+    }
+    EXPECT_TRUE(catalog->AddDocuments(batch).ok());
+    if (round < 2) EXPECT_TRUE(catalog->FlushAll().ok());
+  }
+  for (DocId g = 5; g < 1800; g += 13) {
+    EXPECT_TRUE(catalog->DeleteDocument(g).ok());
+  }
+  return catalog;
+}
+
+TEST(ShardImpactCacheTest, CachedOrderMatchesLazyFragmentOrderBitForBit) {
+  auto catalog =
+      ImpactShards(std::string(::testing::TempDir()) + "/shard_impact");
+  const auto snap = catalog->Snapshot();
+  for (size_t s = 0; s < snap->num_shards(); ++s) {
+    const CatalogState& state = snap->shard_state(s);
+    ASSERT_EQ(state.segments().size(), 2u);
+    EXPECT_GT(state.segments()[0]->num_deleted + state.segments()[1]->num_deleted,
+              0u);
+    EXPECT_GT(state.stats().df[kDense],
+              TermImpactCache::kPrefix * TermImpactCache::kGrowth);
+    for (TermId t = 0; t < kVocab; ++t) {
+      const double bound = t % 2 == 0 ? snap->ShardTermBound(s, t) : -1.0;
+      const ImpactSequence cached = Cached(*snap, s, t);
+      ASSERT_EQ(cached, Reference(*snap, s, t)) << "shard " << s << " term " << t;
+      EXPECT_EQ(cached.size(), state.stats().df[t]);
+      // size() reports the global df, like the view's DocFrequency.
+      EXPECT_EQ(snap->shard_source(s)
+                    .OpenImpactCursor(t, snap->shard_model(s))
+                    ->size(),
+                snap->stats().df[t]);
+      EXPECT_EQ(t % 2 == 0 ? bound : snap->ShardTermBound(s, t),
+                cached.empty() ? 0.0 : std::get<2>(cached.front()))
+          << "shard " << s << " term " << t;
+      EXPECT_EQ(snap->shard_source(s).MaxImpact(t),
+                snap->ShardTermBound(s, t));
+    }
+  }
+}
+
+TEST(ShardImpactCacheTest, PinnedSnapshotKeepsItsOrderAcrossMutations) {
+  auto catalog = ImpactShards(std::string(::testing::TempDir()) +
+                              "/shard_impact_pinned");
+  const auto pinned = catalog->Snapshot();
+  const ImpactSequence before = Cached(*pinned, 2, kDense);
+
+  // Shard 0 takes the new document (least loaded, lowest index) and shard
+  // 1 two tombstones: shard 2's state is untouched, but the global
+  // statistics moved, so its weights must move with them.
+  ASSERT_TRUE(catalog->AddDocument({{kDense, 3}, {2, 1}}).ok());
+  ASSERT_TRUE(catalog->DeleteDocument(1).ok());
+  ASSERT_TRUE(catalog->DeleteDocument(4).ok());
+  const auto fresh = catalog->Snapshot();
+  ASSERT_EQ(&fresh->shard_state(2), &pinned->shard_state(2));
+  ASSERT_NE(fresh->stats().num_live_docs, pinned->stats().num_live_docs);
+
+  EXPECT_EQ(Cached(*pinned, 2, kDense), before);
+  EXPECT_EQ(Cached(*pinned, 0, kDense), Reference(*pinned, 0, kDense));
+  const ImpactSequence after = Cached(*fresh, 2, kDense);
+  EXPECT_EQ(after, Reference(*fresh, 2, kDense));
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_NE(std::get<2>(after.front()), std::get<2>(before.front()));
+  EXPECT_EQ(fresh->ShardTermBound(2, kDense), std::get<2>(after.front()));
+  EXPECT_EQ(pinned->ShardTermBound(2, kDense), std::get<2>(before.front()));
+}
+
+TEST(ShardImpactCacheTest, ConcurrentFirstUseSeesOneOrder) {
+  auto catalog = ImpactShards(std::string(::testing::TempDir()) +
+                              "/shard_impact_concurrent");
+  const auto snap = catalog->Snapshot();
+  constexpr size_t kThreads = 8;
+  std::vector<ImpactSequence> seen(kThreads);
+  std::vector<double> bounds(kThreads);
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      if (i % 2 == 0) bounds[i] = snap->ShardTermBound(1, kDense);
+      seen[i] = Cached(*snap, 1, kDense);
+      if (i % 2 != 0) bounds[i] = snap->ShardTermBound(1, kDense);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const ImpactSequence reference = Reference(*snap, 1, kDense);
+  ASSERT_FALSE(reference.empty());
+  for (size_t i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], reference) << "thread " << i;
+    EXPECT_EQ(bounds[i], std::get<2>(reference.front())) << "thread " << i;
+  }
 }
 
 TEST(ShardedCatalogTest, IdMappingRoundTrips) {
