@@ -33,6 +33,8 @@
 #include "engine/database.h"
 #include "exec/registry.h"
 #include "ir/query_gen.h"
+#include "optimizer/cardinality.h"
+#include "optimizer/strategy_planner.h"
 
 namespace moa {
 namespace {
@@ -606,6 +608,122 @@ TEST_F(CatalogParityTest, MutationsDuringShardedSearchBatchAreSafe) {
     }
   }
   mutator.join();
+}
+
+/// The twin lifecycle of the unsharded-spine test below: a seed delete,
+/// a flush, adds, a memtable delete, one update of a segment document, a
+/// second flush, more adds and deletes on both sides of it — two segments
+/// and a live memtable, tombstones in all three.
+void RunTwinScript(MmDatabase& db) {
+  Rng rng(424242);
+  ASSERT_TRUE(db.DeleteDocument(3).ok());
+  ASSERT_TRUE(db.DeleteDocument(57).ok());
+  ASSERT_TRUE(db.Flush().ok());
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(db.AddDocument(SynthDoc(rng)).ok());
+  ASSERT_TRUE(db.DeleteDocument(310).ok());
+  ASSERT_TRUE(db.UpdateDocument(20, SynthDoc(rng)).ok());
+  ASSERT_TRUE(db.Flush().ok());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(db.AddDocument(SynthDoc(rng)).ok());
+  ASSERT_TRUE(db.DeleteDocument(340).ok());  // memtable doc
+  ASSERT_TRUE(db.DeleteDocument(99).ok());   // segment-1 doc
+}
+
+void ExpectSameCost(const CostCounters& a, const CostCounters& b,
+                    const std::string& label) {
+  EXPECT_EQ(a.sequential_reads, b.sequential_reads) << label;
+  EXPECT_EQ(a.random_reads, b.random_reads) << label;
+  EXPECT_EQ(a.score_evals, b.score_evals) << label;
+  EXPECT_EQ(a.compares, b.compares) << label;
+  EXPECT_EQ(a.bytes_touched, b.bytes_touched) << label;
+  EXPECT_EQ(a.blocks_decoded, b.blocks_decoded) << label;
+  EXPECT_EQ(a.blocks_skipped, b.blocks_skipped) << label;
+  EXPECT_EQ(a.shards_visited, b.shards_visited) << label;
+  EXPECT_EQ(a.shards_skipped, b.shards_skipped) << label;
+  EXPECT_EQ(a.shard_postings_skipped, b.shard_postings_skipped) << label;
+}
+
+TEST_F(CatalogParityTest, UnshardedEngineMatchesCatalogReadViewOfTwin) {
+  // Two databases run the same lifecycle. Every strategy executed by the
+  // engine on one must equal the registry over the other's
+  // IndexCatalog::OpenReadView — items bit-for-bit and every CostCounters
+  // field — and planned Search must choose what StrategyPlanner chooses
+  // over the twin's state. Twins, not one database: build-once caches
+  // (impact orders, sparse indexes) fill in the same order on both sides.
+  std::unique_ptr<MmDatabase> twins[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::string dir = std::string(::testing::TempDir()) +
+                            "/catalog_parity_twin_" + std::to_string(i);
+    std::filesystem::remove_all(dir);
+    auto opened = MmDatabase::Open(BaseConfig(dir));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    twins[i] = std::move(opened).ValueOrDie();
+    RunTwinScript(*twins[i]);
+    if (HasFatalFailure()) return;
+  }
+  MmDatabase& engine = *twins[0];
+  const IndexCatalog* twin = twins[1]->catalog();
+  ASSERT_NE(twin, nullptr);
+  ASSERT_EQ(twins[1]->sharded_catalog(), nullptr);
+
+  const std::shared_ptr<const CatalogReadView> view = twin->OpenReadView();
+  const CatalogState& state = view->state();
+  ASSERT_EQ(state.Composition().num_segments, 2u);
+  const Fragmentation fragmentation = Fragmentation::Build(
+      state.stats().df, engine.config().fragmentation);
+  ExecContext context;
+  context.model = view->model();
+  context.postings = view.get();
+  context.fragmentation = &fragmentation;
+  context.sparse_cache = &state.sparse_cache();
+  context.postings_owner = view;
+
+  for (PhysicalStrategy s : AllStrategies()) {
+    for (size_t qi = 0; qi < queries_->size(); ++qi) {
+      const Query& q = (*queries_)[qi];
+      const std::string label =
+          std::string(StrategyName(s)) + " query " + std::to_string(qi);
+      auto expected =
+          StrategyRegistry::Global().Execute(s, context, q, 10, ExecOptions{});
+      ASSERT_TRUE(expected.ok()) << label;
+      auto actual = engine.Execute(s, q, 10);
+      ASSERT_TRUE(actual.ok()) << label << ": " << actual.status().ToString();
+      const TopNResult& e = expected.ValueOrDie();
+      const TopNResult& a = actual.ValueOrDie();
+      ASSERT_EQ(e.items.size(), a.items.size()) << label;
+      for (size_t r = 0; r < e.items.size(); ++r) {
+        EXPECT_EQ(e.items[r].doc, a.items[r].doc) << label << " rank " << r;
+        EXPECT_EQ(e.items[r].score, a.items[r].score) << label << " rank " << r;
+      }
+      ExpectSameCost(e.stats.cost, a.stats.cost, label);
+    }
+  }
+
+  for (const double target : {1.0, 0.5}) {
+    const CardinalityEstimator estimator(
+        &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
+        &fragmentation);
+    const StrategyPlanner planner(&estimator,
+                                  StorageInputsFor(state.Composition()));
+    PlanRequest preq;
+    preq.n = 10;
+    preq.quality_target = target;
+    for (const Query& q : *queries_) {
+      auto choice = planner.PlanChoice(q, preq);
+      ASSERT_TRUE(choice.ok());
+      QueryRequest request;
+      request.query = q;
+      request.n = 10;
+      request.options.quality_target = target;
+      auto searched = engine.Search(request);
+      ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+      EXPECT_TRUE(searched.ValueOrDie().planned);
+      EXPECT_EQ(searched.ValueOrDie().strategy, choice.ValueOrDie().strategy)
+          << "target " << target;
+      EXPECT_EQ(searched.ValueOrDie().estimate.scalar,
+                choice.ValueOrDie().scalar)
+          << "target " << target;
+    }
+  }
 }
 
 TEST_F(CatalogParityTest, AttachDetachDuringSearchBatchIsSafe) {
