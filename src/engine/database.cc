@@ -1,11 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <optional>
-#include <sstream>
 
-#include "common/timer.h"
 #include "engine/shard_coordinator.h"
 #include "exec/registry.h"
 #include "obs/metrics.h"
@@ -49,40 +45,22 @@ std::shared_ptr<const SegmentReader> MmDatabase::segment_snapshot() const {
   return segment_;
 }
 
-std::shared_ptr<const CatalogReadView> MmDatabase::catalog_view() const {
-  return catalog_->OpenReadView();
-}
-
 std::shared_ptr<const Fragmentation> MmDatabase::DynamicFragmentation(
-    const CatalogState& state) const {
-  return DynamicFragmentation(state.stats().df, state.version());
-}
-
-std::shared_ptr<const Fragmentation> MmDatabase::DynamicFragmentation(
-    const std::vector<uint32_t>& df, uint64_t version) const {
+    const ShardedSnapshot& snapshot) const {
   std::lock_guard<std::mutex> lock(dyn_frag_mutex_);
-  if (dyn_frag_ == nullptr || dyn_frag_version_ != version) {
+  if (dyn_frag_ == nullptr || dyn_frag_version_ != snapshot.version()) {
     // Live df is all the assignment depends on, so this fragments exactly
-    // like a fresh index of the surviving documents. Under sharding the
-    // df is the global aggregate, so the term classification every shard
-    // executes with is identical to a single catalog's.
+    // like a fresh index of the surviving documents. The df is the global
+    // aggregate, so the term classification every shard executes with is
+    // identical to a single catalog's.
     dyn_frag_ = std::make_shared<const Fragmentation>(
-        Fragmentation::Build(df, config_.fragmentation));
-    dyn_frag_version_ = version;
+        Fragmentation::Build(snapshot.stats().df, config_.fragmentation));
+    dyn_frag_version_ = snapshot.version();
   }
   return dyn_frag_;
 }
 
 namespace {
-
-/// Everything a catalog-backed query borrows, bundled so one shared_ptr
-/// (ExecContext::postings_owner) keeps the whole chain alive across
-/// concurrent mutations: the read view (state + stats + model) and the
-/// snapshot's fragmentation.
-struct DynamicQueryState {
-  std::shared_ptr<const CatalogReadView> view;
-  std::shared_ptr<const Fragmentation> fragmentation;
-};
 
 /// The strategies that read ExecContext::fragmentation — registry
 /// metadata (PlannerHooks::needs_fragmentation), not a hard-coded list,
@@ -92,27 +70,14 @@ bool NeedsFragmentation(PhysicalStrategy s) {
   return entry != nullptr && entry->planner.needs_fragmentation;
 }
 
+/// What a borrowed dynamic context pins: the snapshot and the
+/// fragmentation derived from it.
+struct DynamicContextOwner {
+  std::shared_ptr<const ShardedSnapshot> snapshot;
+  std::shared_ptr<const Fragmentation> fragmentation;
+};
+
 }  // namespace
-
-ExecContext MmDatabase::catalog_context(
-    const std::shared_ptr<const CatalogReadView>& view,
-    std::shared_ptr<const Fragmentation> fragmentation) const {
-  // No materialized InvertedFile describes the evolving collection; every
-  // strategy streams the snapshot through the cursor API instead. The
-  // fragment strategies additionally get a fragmentation derived from the
-  // snapshot's live statistics and the snapshot-scoped sparse cache.
-  auto bundle = std::make_shared<DynamicQueryState>();
-  bundle->view = view;
-  bundle->fragmentation = std::move(fragmentation);
-
-  ExecContext context;
-  context.model = view->model();
-  context.postings = view.get();
-  context.fragmentation = bundle->fragmentation.get();
-  context.sparse_cache = &view->state().sparse_cache();
-  context.postings_owner = std::move(bundle);
-  return context;
-}
 
 ExecContext MmDatabase::static_context() const {
   ExecContext context;
@@ -127,26 +92,18 @@ ExecContext MmDatabase::static_context() const {
 }
 
 ExecContext MmDatabase::exec_context() const {
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // No single PostingSource spans a sharded collection; the borrowed
-      // context covers shard 0 under the global statistics (see the
-      // header). Whole-collection queries go through Search/Execute.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      ExecContext context;
-      context.model = &snapshot->shard_model(0);
-      context.postings = &snapshot->shard_source(0);
-      context.sparse_cache = &snapshot->shard_sparse_cache(0);
-      context.postings_owner = snapshot;
-      return context;
-    }
-    // Callers of the borrowed view don't name a strategy up front, so
-    // the context carries every capability, fragmentation included.
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return catalog_context(view, DynamicFragmentation(view->state()));
-  }
-  return static_context();
+  if (!is_dynamic()) return static_context();
+  // Callers of the borrowed view don't name a strategy up front, so the
+  // context carries every capability, fragmentation included. It covers
+  // shard 0, which under sharding is only part of the collection (see
+  // the header).
+  auto owner = std::make_shared<DynamicContextOwner>();
+  owner->snapshot = sharded_->Snapshot();
+  owner->fragmentation = DynamicFragmentation(*owner->snapshot);
+  ExecContext context = ShardCoordinator::ShardContext(
+      owner->snapshot, 0, owner->fragmentation.get());
+  context.postings_owner = std::move(owner);
+  return context;
 }
 
 namespace {
@@ -227,101 +184,42 @@ void MmDatabase::DetachSegment() {
 // ------------------------------------------------------ index lifecycle
 
 Status MmDatabase::EnsureDynamicLocked() {
-  if (catalog_ != nullptr || sharded_ != nullptr) return Status::OK();
+  if (sharded_ != nullptr) return Status::OK();
 
-  IndexCatalog::Options options;
-  options.num_terms = file().num_terms();
-  options.dir = config_.catalog_dir;
-  options.scoring = config_.scoring;
-  options.wal_enabled = config_.wal_enabled;
-  options.wal_fsync_every = config_.wal_fsync_every;
+  ShardedCatalog::Options options;
+  options.num_shards = std::max<size_t>(1, config_.num_shards);
+  options.shard.num_terms = file().num_terms();
+  options.shard.dir = config_.catalog_dir;
+  options.shard.scoring = config_.scoring;
+  options.shard.wal_enabled = config_.wal_enabled;
+  options.shard.wal_fsync_every = config_.wal_fsync_every;
   if (config_.background_maintenance) {
-    options.backpressure_memtable_docs = config_.backpressure_memtable_docs;
-    options.backpressure_max_segments = config_.backpressure_max_segments;
-    options.backpressure_soft_fail = config_.backpressure_soft_fail;
+    options.shard.backpressure_memtable_docs =
+        config_.backpressure_memtable_docs;
+    options.shard.backpressure_max_segments = config_.backpressure_max_segments;
+    options.shard.backpressure_soft_fail = config_.backpressure_soft_fail;
   }
 
-  MaintenancePolicy maintenance_policy;
-  maintenance_policy.flush_trigger_docs = config_.flush_trigger_docs;
-  maintenance_policy.merge_trigger_segments = config_.merge_trigger_segments;
-  maintenance_policy.merge_fanin = config_.merge_fanin;
-  maintenance_policy.min_interval_millis =
-      config_.maintenance_min_interval_millis;
-  // Maintenance needs a directory to flush into; memory-only catalogs
-  // would fail every background job.
-  const bool attach_maintenance =
-      config_.background_maintenance && !config_.catalog_dir.empty();
-
-  if (config_.num_shards > 1) {
-    ShardedCatalog::Options soptions;
-    soptions.num_shards = config_.num_shards;
-    soptions.shard = options;  // shard.dir is the root; shards nest under it
-
-    std::unique_ptr<ShardedCatalog> sharded;
-    if (!options.dir.empty() &&
-        std::filesystem::exists(options.dir + "/shard_0/" +
-                                kManifestFileName)) {
-      // A durable sharded catalog from an earlier process: recover every
-      // shard instead of re-seeding (same rule as the single catalog).
-      Result<std::unique_ptr<ShardedCatalog>> opened =
-          ShardedCatalog::Open(soptions);
-      if (!opened.ok()) return opened.status();
-      sharded = std::move(opened).ValueOrDie();
-    } else {
-      Result<std::unique_ptr<ShardedCatalog>> created =
-          ShardedCatalog::Create(soptions);
-      if (!created.ok()) return created.status();
-      sharded = std::move(created).ValueOrDie();
-      const InvertedFile& f = file();
-      if (f.num_docs() > 0) {
-        // Same transposed batch seed as below. Round-robin routing from
-        // an empty catalog assigns document k the global id k — the seed
-        // keeps the generated collection's ids under sharding too.
-        std::vector<DocTerms> docs(f.num_docs());
-        for (TermId t = 0; t < f.num_terms(); ++t) {
-          const PostingList& list = f.list(t);
-          for (size_t i = 0; i < list.size(); ++i) {
-            docs[list[i].doc].emplace_back(t, list[i].tf);
-          }
-        }
-        Result<std::vector<DocId>> ids = sharded->AddDocuments(docs);
-        if (!ids.ok()) return ids.status();
-      }
-    }
-
-    sharded_ = std::move(sharded);
-    if (attach_maintenance) {
-      // One loop per shard; every background publish drops the cached
-      // multi-shard snapshot (a merge compacts the shard's local ids).
-      ShardedCatalog* sharded_ptr = sharded_.get();
-      for (size_t s = 0; s < sharded_->num_shards(); ++s) {
-        maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
-            &sharded_->shard(s), maintenance_policy,
-            [sharded_ptr] { sharded_ptr->InvalidateSnapshotCache(); }));
-      }
-    }
-    dynamic_.store(true, std::memory_order_release);
-    return Status::OK();
-  }
-
-  std::unique_ptr<IndexCatalog> catalog;
-  if (!options.dir.empty() &&
-      std::filesystem::exists(options.dir + "/" + kManifestFileName)) {
+  std::unique_ptr<ShardedCatalog> catalog;
+  if (ShardedCatalog::Exists(options)) {
     // The directory already holds a durable catalog (an earlier process's
     // flushes): recover it. Its surviving documents — not the freshly
     // generated collection — become the served corpus; re-seeding would
     // duplicate every previously flushed document.
-    Result<std::unique_ptr<IndexCatalog>> opened = IndexCatalog::Open(options);
+    Result<std::unique_ptr<ShardedCatalog>> opened =
+        ShardedCatalog::Open(options);
     if (!opened.ok()) return opened.status();
     catalog = std::move(opened).ValueOrDie();
   } else {
-    Result<std::unique_ptr<IndexCatalog>> created =
-        IndexCatalog::Create(options);
+    Result<std::unique_ptr<ShardedCatalog>> created =
+        ShardedCatalog::Create(options);
     if (!created.ok()) return created.status();
     catalog = std::move(created).ValueOrDie();
     // Seed the fresh catalog with the generated collection under the
     // same doc ids: transpose the inverted file into per-document
-    // compositions and ingest them as one batch.
+    // compositions and ingest them as one batch. Round-robin routing from
+    // an empty catalog assigns document k the global id k, so the seed
+    // keeps the generated collection's ids under sharding too.
     const InvertedFile& f = file();
     if (f.num_docs() > 0) {
       std::vector<DocTerms> docs(f.num_docs());
@@ -331,15 +229,28 @@ Status MmDatabase::EnsureDynamicLocked() {
           docs[list[i].doc].emplace_back(t, list[i].tf);
         }
       }
-      Result<DocId> first = catalog->AddDocuments(docs);
-      if (!first.ok()) return first.status();
+      Result<std::vector<DocId>> ids = catalog->AddDocuments(docs);
+      if (!ids.ok()) return ids.status();
     }
   }
 
-  catalog_ = std::move(catalog);
-  if (attach_maintenance) {
-    maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
-        catalog_.get(), maintenance_policy));
+  sharded_ = std::move(catalog);
+  // Maintenance needs a directory to flush into; memory-only catalogs
+  // would fail every background job.
+  if (config_.background_maintenance && !config_.catalog_dir.empty()) {
+    MaintenancePolicy policy;
+    policy.flush_trigger_docs = config_.flush_trigger_docs;
+    policy.merge_trigger_segments = config_.merge_trigger_segments;
+    policy.merge_fanin = config_.merge_fanin;
+    policy.min_interval_millis = config_.maintenance_min_interval_millis;
+    // One loop per shard; every background publish drops the cached
+    // snapshot (a merge compacts the shard's local ids).
+    ShardedCatalog* catalog_ptr = sharded_.get();
+    for (size_t s = 0; s < sharded_->num_shards(); ++s) {
+      maintenance_.push_back(std::make_unique<BackgroundMaintenance>(
+          &sharded_->shard(s), policy,
+          [catalog_ptr] { catalog_ptr->InvalidateSnapshotCache(); }));
+    }
   }
   // Release-publish: readers that observe dynamic_ == true see the fully
   // seeded catalog.
@@ -368,51 +279,43 @@ Status MmDatabase::WaitForMaintenance() {
 Result<DocId> MmDatabase::AddDocument(const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->AddDocument(terms);
-  return catalog_->AddDocument(terms);
+  return sharded_->AddDocument(terms);
 }
 
 Result<DocId> MmDatabase::AddDocuments(const std::vector<DocTerms>& docs) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) {
-    // Sharded routing still returns the first document's global id; ids
-    // are consecutive whenever the shards are balanced (always true for
-    // the pristine seed and pure-append workloads).
-    Result<std::vector<DocId>> ids = sharded_->AddDocuments(docs);
-    if (!ids.ok()) return ids.status();
-    const std::vector<DocId>& v = ids.ValueOrDie();
-    return v.empty() ? DocId{0} : v.front();
-  }
-  return catalog_->AddDocuments(docs);
+  // The first document's global id; under sharding ids are consecutive
+  // whenever the shards are balanced (always true for the pristine seed
+  // and pure-append workloads).
+  Result<std::vector<DocId>> ids = sharded_->AddDocuments(docs);
+  if (!ids.ok()) return ids.status();
+  const std::vector<DocId>& v = ids.ValueOrDie();
+  return v.empty() ? DocId{0} : v.front();
 }
 
 Status MmDatabase::DeleteDocument(DocId doc) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->DeleteDocument(doc);
-  return catalog_->DeleteDocument(doc);
+  return sharded_->DeleteDocument(doc);
 }
 
 Result<DocId> MmDatabase::UpdateDocument(DocId doc, const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->UpdateDocument(doc, terms);
-  return catalog_->UpdateDocument(doc, terms);
+  return sharded_->UpdateDocument(doc, terms);
 }
 
 Status MmDatabase::Flush() {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->FlushAll();
-  return catalog_->Flush();
+  return sharded_->FlushAll();
 }
 
 Result<size_t> MmDatabase::Merge(const MergePolicy& policy) {
   std::lock_guard<std::mutex> lock(mutation_mutex_);
   MOA_RETURN_NOT_OK(EnsureDynamicLocked());
-  if (sharded_ != nullptr) return sharded_->MergeAll(policy);
-  return catalog_->Merge(policy);
+  return sharded_->MergeAll(policy);
 }
 
 // --------------------------------------------------------------- queries
@@ -431,45 +334,21 @@ Result<TopNResult> MmDatabase::Execute(PhysicalStrategy strategy,
   // Direct registry execution, no planner in the loop: benches and
   // harnesses use this to drive any strategy over any backend with no
   // validation beyond the registry's own. The strategy is known here, so
-  // dynamic contexts only pay for the live-statistics fragmentation when
+  // dynamic queries only pay for the live-statistics fragmentation when
   // a fragment strategy runs.
-  if (is_dynamic() && sharded_ != nullptr) {
+  if (is_dynamic()) {
     const std::shared_ptr<const ShardedSnapshot> snapshot =
         sharded_->Snapshot();
     const std::shared_ptr<const Fragmentation> frag =
-        NeedsFragmentation(strategy)
-            ? DynamicFragmentation(snapshot->stats().df, snapshot->version())
-            : nullptr;
+        NeedsFragmentation(strategy) ? DynamicFragmentation(*snapshot)
+                                     : nullptr;
     ShardCoordinator::Options copts;
     copts.fragmentation = frag.get();
     return ShardCoordinator::Execute(snapshot, strategy, query, n, options,
                                      copts);
   }
-  ExecContext context;
-  if (is_dynamic()) {
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    context = catalog_context(view, NeedsFragmentation(strategy)
-                                        ? DynamicFragmentation(view->state())
-                                        : nullptr);
-  } else {
-    context = static_context();
-  }
-  return StrategyRegistry::Global().Execute(strategy, context, query, n,
-                                            options);
-}
-
-StrategyCostInputs MmDatabase::DynamicStorageInputs(
-    const CatalogState& state) const {
-  // Composition() walks every component, so the digest is cached per
-  // snapshot version (single entry — mutations invalidate by bumping the
-  // version, exactly like the fragmentation cache).
-  std::lock_guard<std::mutex> lock(dyn_storage_mutex_);
-  if (!dyn_storage_valid_ || dyn_storage_version_ != state.version()) {
-    dyn_storage_ = StorageInputsFor(state.Composition());
-    dyn_storage_version_ = state.version();
-    dyn_storage_valid_ = true;
-  }
-  return dyn_storage_;
+  return StrategyRegistry::Global().Execute(strategy, static_context(), query,
+                                            n, options);
 }
 
 StrategyCostInputs MmDatabase::StaticStorageInputs(
@@ -481,9 +360,6 @@ StrategyCostInputs MmDatabase::StaticStorageInputs(
 
 namespace {
 
-/// The shared tail of RunQuery once storage has been snapshotted into a
-/// planner + context: plan (PlanForced fast path unless `explain` wants
-/// the full candidate table), fill the result's plan fields, execute.
 /// Per-thread sampling decision for stage tracing. A plain thread_local
 /// round-robin — no atomics, and SearchBatch workers each sample their
 /// own every-Nth query independently.
@@ -492,72 +368,6 @@ bool SampleTrace(size_t every) {
   if (every == 1) return true;
   thread_local uint64_t counter = 0;
   return (counter++ % every) == 0;
-}
-
-Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
-                                const ExecContext& context,
-                                const QueryRequest& request, bool explain,
-                                bool trace, PlanDecision* decision_out) {
-  // When sampled, activates per-query tracing for this thread: the plan
-  // span below and the stage spans the executors open all attach here
-  // (spans against no current trace are no-ops). Stage CostCounters are
-  // ticker deltas at span boundaries — the per-posting loop never sees
-  // the trace. Compiles to nothing under MOA_OBS=OFF.
-  std::optional<obs::QueryTrace> qtrace;
-  if (trace) qtrace.emplace();
-
-  PlanRequest preq;
-  preq.n = request.n;
-  preq.quality_target = request.options.quality_target;
-  preq.force = request.options.strategy;
-
-  SearchResult out;
-  PlanCandidate chosen;
-  {
-    obs::TraceSpan span(obs::kStagePlan);
-    if (!explain && !preq.force.has_value()) {
-      // Unforced hot path: same choice as Plan(), no candidate table.
-      Result<PlanCandidate> choice = planner.PlanChoice(request.query, preq);
-      if (!choice.ok()) return choice.status();
-      chosen = std::move(choice).ValueOrDie();
-      out.planned = true;
-    } else {
-      Result<PlanDecision> plan = (preq.force.has_value() && !explain)
-                                      ? planner.PlanForced(request.query, preq)
-                                      : planner.Plan(request.query, preq);
-      if (!plan.ok()) return plan.status();
-      PlanDecision decision = std::move(plan).ValueOrDie();
-      chosen = decision.chosen;
-      out.planned = !decision.forced;
-      if (decision_out != nullptr) *decision_out = std::move(decision);
-    }
-  }
-
-  out.strategy = chosen.strategy;
-  out.estimate.strategy = chosen.strategy;
-  out.estimate.predicted = chosen.predicted;
-  out.estimate.scalar = chosen.scalar;
-  out.predicted_quality = chosen.predicted_quality;
-  if (explain) return out;
-
-  ExecOptions eopts;
-  eopts.switch_threshold = request.options.switch_threshold;
-  WallTimer timer;
-  Result<TopNResult> top = StrategyRegistry::Global().Execute(
-      out.strategy, context, request.query, request.n, eopts);
-  if (!top.ok()) return top.status();
-  out.wall_millis = timer.ElapsedMillis();
-  out.top = std::move(top).ValueOrDie();
-
-  if (qtrace.has_value()) {
-    out.trace = qtrace->Finish();
-    out.trace.strategy = StrategyName(out.strategy);
-    out.trace.planned = out.planned;
-    out.trace.predicted_scalar = chosen.scalar;
-    out.trace.predicted_quality = chosen.predicted_quality;
-    out.traced = true;
-  }
-  return out;
 }
 
 }  // namespace
@@ -578,30 +388,9 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
   // generated collection is immutable), instead of planning statically
   // and then executing against the catalog.
   const bool trace = !explain && SampleTrace(config_.trace_every);
-  if (is_dynamic() && sharded_ != nullptr) {
-    // Sharded serving: one consistent multi-shard snapshot, then the
-    // bound-aware scatter-gather coordinator (per-shard planning, bound-
-    // ordered visits with suffix skipping, threshold-seeded max-score).
+  if (is_dynamic()) {
     const std::shared_ptr<const ShardedSnapshot> snapshot =
         sharded_->Snapshot();
-    const bool want_frag =
-        explain || (request.options.strategy.has_value()
-                        ? NeedsFragmentation(*request.options.strategy)
-                        : request.options.quality_target < 1.0);
-    const std::shared_ptr<const Fragmentation> frag =
-        want_frag
-            ? DynamicFragmentation(snapshot->stats().df, snapshot->version())
-            : nullptr;
-    ShardCoordinator::Options copts;
-    copts.fragmentation = frag.get();
-    return FinishQuery(ShardCoordinator::Run(snapshot, request, explain, trace,
-                                             decision_out, copts),
-                       explain);
-  }
-  if (is_dynamic()) {
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    const CatalogState& state = view->state();
-
     // The live-statistics fragmentation is only built when a fragment
     // strategy could actually run: a forced fragment strategy, or planner
     // choice with a quality target that admits unsafe strategies. At
@@ -615,16 +404,11 @@ Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
                         ? NeedsFragmentation(*request.options.strategy)
                         : request.options.quality_target < 1.0);
     const std::shared_ptr<const Fragmentation> frag =
-        want_frag ? DynamicFragmentation(state) : nullptr;
-
-    // Statistics are borrowed straight from the snapshot (pinned by the
-    // read view for the query's lifetime) — planning copies nothing.
-    const CardinalityEstimator estimator(
-        &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
-        frag.get());
-    const StrategyPlanner planner(&estimator, DynamicStorageInputs(state));
-    return FinishQuery(PlanAndRun(planner, catalog_context(view, frag),
-                                  request, explain, trace, decision_out),
+        want_frag ? DynamicFragmentation(*snapshot) : nullptr;
+    ShardCoordinator::Options copts;
+    copts.fragmentation = frag.get();
+    return FinishQuery(ShardCoordinator::Run(snapshot, request, explain, trace,
+                                             decision_out, copts),
                        explain);
   }
 
@@ -746,64 +530,51 @@ Result<SearchResult> MmDatabase::Search(const Query& query,
 std::vector<ScoredDoc> MmDatabase::GroundTruth(const Query& query,
                                                size_t n) const {
   if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // Exact per-shard top-N under the global statistics, merged under
-      // the global (score desc, doc asc) order — the exact global top-N,
-      // since every document lives in exactly one shard.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      std::vector<ScoredDoc> all;
-      for (size_t s = 0; s < snapshot->num_shards(); ++s) {
-        std::vector<ScoredDoc> top =
-            ExactTopN(snapshot->shard_source(s), snapshot->shard_model(s),
-                      query, n);
-        for (ScoredDoc& sd : top) {
-          sd.doc = ShardedCatalog::GlobalOf(sd.doc, s,
-                                            snapshot->num_shards());
-          all.push_back(sd);
-        }
+    // Exact per-shard top-N under the global statistics, merged under the
+    // global (score desc, doc asc) order — the exact global top-N, since
+    // every document lives in exactly one shard.
+    const std::shared_ptr<const ShardedSnapshot> snapshot =
+        sharded_->Snapshot();
+    std::vector<ScoredDoc> all;
+    for (size_t s = 0; s < snapshot->num_shards(); ++s) {
+      std::vector<ScoredDoc> top = ExactTopN(
+          snapshot->shard_source(s), snapshot->shard_model(s), query, n);
+      for (ScoredDoc& sd : top) {
+        sd.doc = ShardedCatalog::GlobalOf(sd.doc, s, snapshot->num_shards());
+        all.push_back(sd);
       }
-      std::sort(all.begin(), all.end(), ScoredDocLess);
-      if (all.size() > n) all.resize(n);
-      return all;
     }
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return ExactTopN(*view, *view->model(), query, n);
+    std::sort(all.begin(), all.end(), ScoredDocLess);
+    if (all.size() > n) all.resize(n);
+    return all;
   }
   return ExactTopN(file(), *model_, query, n);
 }
 
 std::vector<double> MmDatabase::GroundTruthScores(const Query& query) const {
   if (is_dynamic()) {
-    if (sharded_ != nullptr) {
-      // Dense by *global* id: each shard's local score vector scattered
-      // through the interleaved id mapping; unmapped slots stay 0.
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      std::vector<double> scores(snapshot->doc_space(), 0.0);
-      for (size_t s = 0; s < snapshot->num_shards(); ++s) {
-        const std::vector<double> local = AccumulateScores(
-            snapshot->shard_source(s), snapshot->shard_model(s), query);
-        for (size_t l = 0; l < local.size(); ++l) {
-          const DocId g = ShardedCatalog::GlobalOf(
-              static_cast<DocId>(l), s, snapshot->num_shards());
-          if (static_cast<size_t>(g) < scores.size()) scores[g] = local[l];
-        }
+    // Dense by *global* id: each shard's local score vector scattered
+    // through the interleaved id mapping; unmapped slots stay 0.
+    const std::shared_ptr<const ShardedSnapshot> snapshot =
+        sharded_->Snapshot();
+    std::vector<double> scores(snapshot->doc_space(), 0.0);
+    for (size_t s = 0; s < snapshot->num_shards(); ++s) {
+      const std::vector<double> local = AccumulateScores(
+          snapshot->shard_source(s), snapshot->shard_model(s), query);
+      for (size_t l = 0; l < local.size(); ++l) {
+        const DocId g = ShardedCatalog::GlobalOf(static_cast<DocId>(l), s,
+                                                 snapshot->num_shards());
+        if (static_cast<size_t>(g) < scores.size()) scores[g] = local[l];
       }
-      return scores;
     }
-    const std::shared_ptr<const CatalogReadView> view = catalog_view();
-    return AccumulateScores(*view, *view->model(), query);
+    return scores;
   }
   return AccumulateScores(file(), *model_, query);
 }
 
 std::string MmDatabase::DescribeStorage() const {
   // Payload only — ExplainReport::ToString prepends the "storage: " key.
-  if (is_dynamic()) {
-    if (sharded_ != nullptr) return sharded_->Snapshot()->Describe();
-    return catalog_->Snapshot()->Describe();
-  }
+  if (is_dynamic()) return sharded_->Snapshot()->Describe();
   std::lock_guard<std::mutex> lock(snapshot_mutex_);
   if (segment_ != nullptr) {
     return "in-memory inverted file; all strategies read mmap segment " +
@@ -848,18 +619,10 @@ Result<ExplainReport> MmDatabase::ExplainSearch(
   // Fragment strategies run over a fragmentation; show the split the
   // chosen strategy would use.
   if (NeedsFragmentation(report.decision.strategy)) {
-    if (!is_dynamic()) {
-      report.fragmentation = fragmentation_.ToString();
-    } else if (sharded_ != nullptr) {
-      const std::shared_ptr<const ShardedSnapshot> snapshot =
-          sharded_->Snapshot();
-      report.fragmentation =
-          DynamicFragmentation(snapshot->stats().df, snapshot->version())
-              ->ToString();
-    } else {
-      report.fragmentation =
-          DynamicFragmentation(*catalog_->Snapshot())->ToString();
-    }
+    report.fragmentation =
+        is_dynamic()
+            ? DynamicFragmentation(*sharded_->Snapshot())->ToString()
+            : fragmentation_.ToString();
   }
   report.has_blocks = TracedExecution(report.decision.strategy, request.query,
                                       request.n,

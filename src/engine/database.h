@@ -12,9 +12,13 @@
 // Storage spine. The database starts *static*: queries read the in-memory
 // InvertedFile (optionally swapped for an attached mmap segment on the
 // cursor strategies). The first mutation (AddDocument / DeleteDocument)
-// seeds an IndexCatalog (storage/catalog/) with the collection and flips
-// the database to *dynamic* serving: queries snapshot the catalog per
-// query, statistics track the live documents exactly, and the index
+// seeds a ShardedCatalog (storage/catalog/) of DatabaseConfig::num_shards
+// shards with the collection and flips the database to *dynamic*
+// serving; the unsharded catalog is simply one shard. Queries snapshot
+// the catalog per query and run through the ShardCoordinator, which
+// plans and runs a one-shard snapshot exactly like the static spine
+// (engine/shard_coordinator.h: PlanAndRun) and scatter-gathers over more
+// shards. Statistics track the live documents exactly, and the index
 // evolves through the memtable → flush → merge lifecycle. Every
 // registered strategy runs in dynamic mode: all executors are
 // cursor-based, the Step-1 fragmentation is derived from the snapshot's
@@ -69,18 +73,20 @@ struct DatabaseConfig {
   /// corpus.
   std::string catalog_dir;
   /// Number of catalog shards once the database turns dynamic. 1 (the
-  /// default) serves the single IndexCatalog exactly as before. Greater
-  /// values partition the document space across that many independent
-  /// shards (storage/catalog/sharded_catalog.h) and route every query
-  /// through the bound-aware scatter-gather ShardCoordinator: shards are
-  /// visited in descending impact-upper-bound order on the shared thread
-  /// pool, shards that cannot beat the running global n-th score are
-  /// skipped entirely (CostCounters::shards_skipped), and later shards'
-  /// max-score executions are seeded with the running threshold. Results
-  /// for safe strategies are bit-identical to num_shards = 1 (global
-  /// statistics view; fagin_nra excepted — set-level only). On disk each
-  /// shard keeps its own catalog under catalog_dir/shard_<s>; reopening
-  /// requires the same shard count.
+  /// default) is the unsharded catalog: a one-shard ShardedCatalog whose
+  /// queries plan and run over the one shard like the static spine (no
+  /// shard ticks), stored in catalog_dir itself. Greater values partition
+  /// the document space across that many independent shards
+  /// (storage/catalog/sharded_catalog.h) and route every query through
+  /// the bound-aware scatter-gather ShardCoordinator: shards are visited
+  /// in descending impact-upper-bound order on the shared thread pool,
+  /// shards that cannot beat the running global n-th score are skipped
+  /// entirely (CostCounters::shards_skipped), and later shards' max-score
+  /// executions are seeded with the running threshold. Results for safe
+  /// strategies are bit-identical to num_shards = 1 (global statistics
+  /// view; fagin_nra excepted — set-level only). On disk each shard then
+  /// keeps its own catalog under catalog_dir/shard_<s>; reopening
+  /// requires the same shard count. 0 is read as 1.
   size_t num_shards = 1;
   /// Write-ahead log for the dynamic catalog (directory-backed only; see
   /// IndexCatalog::Options::wal_enabled): acknowledged mutations are
@@ -295,12 +301,13 @@ class MmDatabase {
   /// StrategyRegistry::Global().Execute (benches swap in their own
   /// fragmentation or sparse cache before doing so). In static mode this
   /// is the in-memory file (plus the attached segment snapshot, if any);
-  /// in dynamic mode it is the current catalog snapshot. Under sharding
-  /// no single PostingSource spans the collection, so the borrowed
-  /// context covers shard 0 only (local postings under the global
-  /// statistics) — whole-collection queries go through Search/Execute,
-  /// which scatter-gather across every shard. Copies of the context may
-  /// execute concurrently.
+  /// in dynamic mode it is shard 0 of the current catalog snapshot, with
+  /// the snapshot's live-statistics fragmentation — the whole collection
+  /// when unsharded. Under sharding no single PostingSource spans the
+  /// collection, so the context covers shard 0 only (local postings under
+  /// the global statistics) — whole-collection queries go through
+  /// Search/Execute, which scatter-gather across every shard. Copies of
+  /// the context may execute concurrently.
   ExecContext exec_context() const;
 
   // ---------------------------------------------------- index lifecycle
@@ -341,15 +348,18 @@ class MmDatabase {
   bool is_dynamic() const {
     return dynamic_.load(std::memory_order_acquire);
   }
-  /// The catalog (nullptr while static, or when sharding is configured —
-  /// see sharded_catalog()).
+  /// The unsharded catalog: the one shard's IndexCatalog (nullptr while
+  /// static, or when more than one shard is configured — see
+  /// sharded_catalog()).
   const IndexCatalog* catalog() const {
-    return is_dynamic() ? catalog_.get() : nullptr;
+    return is_dynamic() && sharded_->num_shards() == 1 ? &sharded_->shard(0)
+                                                        : nullptr;
   }
-  /// The sharded catalog (nullptr while static or when
-  /// DatabaseConfig::num_shards == 1).
+  /// The sharded catalog (nullptr while static or when it has one shard —
+  /// see catalog()).
   const ShardedCatalog* sharded_catalog() const {
-    return is_dynamic() ? sharded_.get() : nullptr;
+    return is_dynamic() && sharded_->num_shards() > 1 ? sharded_.get()
+                                                       : nullptr;
   }
 
   /// The last completed query traces (oldest first; capacity 64). Empty
@@ -418,41 +428,25 @@ class MmDatabase {
   MmDatabase() = default;
 
   std::shared_ptr<const SegmentReader> segment_snapshot() const;
-  /// Creates and seeds the catalog on first mutation (caller holds
-  /// mutation_mutex_).
+  /// Creates (or recovers) and seeds the catalog on first mutation
+  /// (caller holds mutation_mutex_).
   Status EnsureDynamicLocked();
-  /// Catalog-backed per-query context; the returned view owns model,
-  /// stats view and state snapshot (also referenced by the context).
-  std::shared_ptr<const CatalogReadView> catalog_view() const;
-  /// `fragmentation` may be null: only the fragment strategies read
-  /// ExecContext::fragmentation, so the default cursor path passes
-  /// nullptr and skips the build + single-entry cache lock entirely.
-  ExecContext catalog_context(
-      const std::shared_ptr<const CatalogReadView>& view,
-      std::shared_ptr<const Fragmentation> fragmentation) const;
   /// The static-mode context (in-memory file + optional attached
   /// segment); exec_context() dispatches here when not dynamic.
   ExecContext static_context() const;
-  /// Fragmentation of one catalog snapshot, derived from its live df
-  /// under this database's policy. Cached per snapshot version (a single
-  /// entry — mutations invalidate by bumping the version).
+  /// Fragmentation of one catalog snapshot, derived from its live (global)
+  /// df under this database's policy. Cached per snapshot version (a
+  /// single entry — mutations invalidate by bumping the version). Only
+  /// the fragment strategies read it, so the default cursor path skips
+  /// the build and the cache lock entirely.
   std::shared_ptr<const Fragmentation> DynamicFragmentation(
-      const CatalogState& state) const;
-  /// The generalized form both serving modes share: `df` is the
-  /// snapshot's live document frequencies (single-catalog state or
-  /// sharded global aggregate), `version` its cache key.
-  std::shared_ptr<const Fragmentation> DynamicFragmentation(
-      const std::vector<uint32_t>& df, uint64_t version) const;
-  /// Storage signals of one catalog snapshot for the planner, digested
-  /// from its composition. Cached per snapshot version (single entry,
-  /// like DynamicFragmentation — Composition() walks all components).
-  StrategyCostInputs DynamicStorageInputs(const CatalogState& state) const;
+      const ShardedSnapshot& snapshot) const;
   /// Storage signals for static serving: neutral in-memory defaults, or
   /// the attached segment's codec / fragment-directory signals.
   StrategyCostInputs StaticStorageInputs(const SegmentReader* segment) const;
   /// The one implementation behind Search / SearchBatch / Execute /
-  /// ExplainSearch: snapshots storage once, plans, and executes. A forced
-  /// strategy takes the PlanForced fast path (no enumeration). With
+  /// ExplainSearch: snapshots storage once, then plans and executes —
+  /// PlanAndRun when static, ShardCoordinator::Run when dynamic. With
   /// `explain` true the planner always enumerates the full candidate
   /// table into *decision_out (forced requests included) and execution is
   /// skipped — ExplainSearch reports block usage separately, best effort.
@@ -483,20 +477,16 @@ class MmDatabase {
   std::shared_ptr<const SegmentReader> segment_;
   std::string segment_path_;  ///< for Explain output; guarded like segment_
 
-  /// Index lifecycle (dynamic mode). catalog_ is created once under
-  /// mutation_mutex_ and never replaced; dynamic_ flips (release) after
-  /// it is fully seeded, so readers seeing true (acquire) see a complete
-  /// catalog.
+  /// Index lifecycle (dynamic mode). sharded_ (one shard when unsharded)
+  /// is created once under mutation_mutex_ and never replaced; dynamic_
+  /// flips (release) after it is fully seeded, so readers seeing true
+  /// (acquire) see a complete catalog.
   std::mutex mutation_mutex_;
-  std::unique_ptr<IndexCatalog> catalog_;
-  /// The sharded spine when DatabaseConfig::num_shards > 1 (catalog_
-  /// stays null then); created/recovered and published exactly like
-  /// catalog_.
   std::unique_ptr<ShardedCatalog> sharded_;
-  /// One maintenance loop per catalog (one entry single-catalog, one per
-  /// shard under sharding) when DatabaseConfig::background_maintenance is
-  /// on. Declared after catalog_/sharded_ so destruction detaches and
-  /// drains every loop before its catalog dies.
+  /// One maintenance loop per shard when
+  /// DatabaseConfig::background_maintenance is on. Declared after
+  /// sharded_ so destruction detaches and drains every loop before its
+  /// catalog dies.
   std::vector<std::unique_ptr<BackgroundMaintenance>> maintenance_;
   std::atomic<bool> dynamic_{false};
 
@@ -514,14 +504,6 @@ class MmDatabase {
   mutable std::mutex dyn_frag_mutex_;
   mutable uint64_t dyn_frag_version_ = 0;
   mutable std::shared_ptr<const Fragmentation> dyn_frag_;
-
-  /// Single-entry cache of DynamicStorageInputs, keyed by snapshot
-  /// version (value type: storage signals are a handful of doubles,
-  /// copied out under the lock).
-  mutable std::mutex dyn_storage_mutex_;
-  mutable uint64_t dyn_storage_version_ = 0;
-  mutable bool dyn_storage_valid_ = false;
-  mutable StrategyCostInputs dyn_storage_;
 
   /// Last K completed query traces (mutable: Search is const; the ring is
   /// engine bookkeeping, not database state). Never written when the

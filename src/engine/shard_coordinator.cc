@@ -137,15 +137,9 @@ Result<TopNResult> ScatterGatherExec(
     const auto body = [&](size_t i) {
       const size_t s = order[next + i].shard;
       ran_on[i] = std::this_thread::get_id();
-      ExecContext context;
-      context.model = &snapshot->shard_model(s);
-      context.postings = &snapshot->shard_source(s);
-      context.fragmentation = frag;
-      context.sparse_cache = &snapshot->shard_sparse_cache(s);
-      context.postings_owner = snapshot;
       results[i] = StrategyRegistry::Global().Execute(
-          strategy_by_shard[s], context, query, n,
-          SeededOptions(base_options, strategy_by_shard[s], seed));
+          strategy_by_shard[s], ShardCoordinator::ShardContext(snapshot, s, frag),
+          query, n, SeededOptions(base_options, strategy_by_shard[s], seed));
     };
     if (wave == 1) {
       body(0);
@@ -188,31 +182,118 @@ Result<TopNResult> ScatterGatherExec(
 
 }  // namespace
 
-Result<SearchResult> ShardCoordinator::Run(
-    const std::shared_ptr<const ShardedSnapshot>& snapshot,
-    const QueryRequest& request, bool explain, bool trace,
-    PlanDecision* decision_out, const Options& options) {
-  // Mirrors the single-catalog PlanAndRun (database.cc): when sampled, a
-  // QueryTrace is installed for this thread — the scatter/gather spans
-  // and any inline shard execution's stage spans attach here; executions
-  // on pool helpers have no installed trace and report through their
-  // result's CostCounters instead.
+Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
+                                const ExecContext& context,
+                                const QueryRequest& request, bool explain,
+                                bool trace, PlanDecision* decision_out) {
+  // When sampled, activates per-query tracing for this thread: the plan
+  // span below and the stage spans the executors open all attach here
+  // (spans against no current trace are no-ops). Stage CostCounters are
+  // ticker deltas at span boundaries — the per-posting loop never sees
+  // the trace. Compiles to nothing under MOA_OBS=OFF.
   std::optional<obs::QueryTrace> qtrace;
   if (trace) qtrace.emplace();
-
-  const size_t num_shards = snapshot->num_shards();
 
   PlanRequest preq;
   preq.n = request.n;
   preq.quality_target = request.options.quality_target;
   preq.force = request.options.strategy;
-  if (num_shards > 1) {
-    // NRA reports drain-order lower-bound scores, not full sums; merging
-    // such scores across shards would compare lower bounds from one shard
-    // against exact scores from another, so cost-based choice never picks
-    // it under sharding. Forcing it remains allowed (set-level contract).
-    preq.exclude.push_back(PhysicalStrategy::kFaginNRA);
+
+  SearchResult out;
+  PlanCandidate chosen;
+  {
+    obs::TraceSpan span(obs::kStagePlan);
+    if (!explain && !preq.force.has_value()) {
+      // Unforced hot path: same choice as Plan(), no candidate table.
+      Result<PlanCandidate> choice = planner.PlanChoice(request.query, preq);
+      if (!choice.ok()) return choice.status();
+      chosen = std::move(choice).ValueOrDie();
+      out.planned = true;
+    } else {
+      Result<PlanDecision> plan = (preq.force.has_value() && !explain)
+                                      ? planner.PlanForced(request.query, preq)
+                                      : planner.Plan(request.query, preq);
+      if (!plan.ok()) return plan.status();
+      PlanDecision decision = std::move(plan).ValueOrDie();
+      chosen = decision.chosen;
+      out.planned = !decision.forced;
+      if (decision_out != nullptr) *decision_out = std::move(decision);
+    }
   }
+
+  out.strategy = chosen.strategy;
+  out.estimate.strategy = chosen.strategy;
+  out.estimate.predicted = chosen.predicted;
+  out.estimate.scalar = chosen.scalar;
+  out.predicted_quality = chosen.predicted_quality;
+  if (explain) return out;
+
+  ExecOptions eopts;
+  eopts.switch_threshold = request.options.switch_threshold;
+  WallTimer timer;
+  Result<TopNResult> top = StrategyRegistry::Global().Execute(
+      out.strategy, context, request.query, request.n, eopts);
+  if (!top.ok()) return top.status();
+  out.wall_millis = timer.ElapsedMillis();
+  out.top = std::move(top).ValueOrDie();
+
+  if (qtrace.has_value()) {
+    out.trace = qtrace->Finish();
+    out.trace.strategy = StrategyName(out.strategy);
+    out.trace.planned = out.planned;
+    out.trace.predicted_scalar = chosen.scalar;
+    out.trace.predicted_quality = chosen.predicted_quality;
+    out.traced = true;
+  }
+  return out;
+}
+
+ExecContext ShardCoordinator::ShardContext(
+    const std::shared_ptr<const ShardedSnapshot>& snapshot, size_t shard,
+    const Fragmentation* fragmentation) {
+  ExecContext context;
+  context.model = &snapshot->shard_model(shard);
+  context.postings = &snapshot->shard_source(shard);
+  context.fragmentation = fragmentation;
+  context.sparse_cache = &snapshot->shard_sparse_cache(shard);
+  context.postings_owner = snapshot;
+  return context;
+}
+
+Result<SearchResult> ShardCoordinator::Run(
+    const std::shared_ptr<const ShardedSnapshot>& snapshot,
+    const QueryRequest& request, bool explain, bool trace,
+    PlanDecision* decision_out, const Options& options) {
+  const size_t num_shards = snapshot->num_shards();
+  if (num_shards == 1) {
+    // The unsharded catalog: one source, so no bound order, no gather and
+    // no shard ticks — it plans and runs like the static spine.
+    const CatalogState& state = snapshot->shard_state(0);
+    const CardinalityEstimator estimator(
+        &state.stats().df, static_cast<int64_t>(state.stats().num_live_docs),
+        options.fragmentation);
+    const StrategyPlanner planner(
+        &estimator, StorageInputsFor(snapshot->shard_composition(0)));
+    return PlanAndRun(planner, ShardContext(snapshot, 0, options.fragmentation),
+                      request, explain, trace, decision_out);
+  }
+
+  // Mirrors PlanAndRun: when sampled, a QueryTrace is installed for this
+  // thread — the scatter/gather spans and any inline shard execution's
+  // stage spans attach here; executions on pool helpers have no installed
+  // trace and report through their result's CostCounters instead.
+  std::optional<obs::QueryTrace> qtrace;
+  if (trace) qtrace.emplace();
+
+  PlanRequest preq;
+  preq.n = request.n;
+  preq.quality_target = request.options.quality_target;
+  preq.force = request.options.strategy;
+  // NRA reports drain-order lower-bound scores, not full sums; merging
+  // such scores across shards would compare lower bounds from one shard
+  // against exact scores from another, so cost-based choice never picks
+  // it under sharding. Forcing it remains allowed (set-level contract).
+  preq.exclude.push_back(PhysicalStrategy::kFaginNRA);
 
   SearchResult out;
   std::vector<ShardOrder> order;
@@ -299,6 +380,11 @@ Result<TopNResult> ShardCoordinator::Execute(
     PhysicalStrategy strategy, const Query& query, size_t n,
     const ExecOptions& exec_options, const Options& options) {
   const size_t num_shards = snapshot->num_shards();
+  if (num_shards == 1) {
+    return StrategyRegistry::Global().Execute(
+        strategy, ShardContext(snapshot, 0, options.fragmentation), query, n,
+        exec_options);
+  }
   std::vector<ShardOrder> order;
   {
     obs::TraceSpan span(obs::kStageShardScatter);

@@ -1,6 +1,10 @@
 // ShardCoordinator: bound-aware scatter-gather top-N over a ShardedSnapshot.
 //
-// The sharded analogue of the engine's plan-and-run path. For one query it
+// The engine's one dynamic query path: every catalog query, unsharded or
+// sharded, runs through here. A one-shard snapshot (the unsharded
+// catalog) is a single source: it plans and runs through PlanAndRun
+// below, the same code the static spine uses, with no bound order, no
+// gather and no shard ticks. For more than one shard, one query
 //
 //   1. computes each shard's aggregate upper bound — the sum of the query
 //      terms' per-shard max impacts from the snapshot's impact cache — and
@@ -48,6 +52,18 @@
 
 namespace moa {
 
+/// Plans `request` over one source (or obeys its forced strategy) and
+/// executes it: the static spine and a one-shard snapshot. A forced
+/// strategy takes the PlanForced fast path (no enumeration). With
+/// `explain` true the planner always enumerates the full candidate table
+/// into *decision_out (forced requests included) and execution is
+/// skipped. `trace` installs a QueryTrace for this thread: the plan span
+/// and the executor's stage spans attach to it.
+Result<SearchResult> PlanAndRun(const StrategyPlanner& planner,
+                                const ExecContext& context,
+                                const QueryRequest& request, bool explain,
+                                bool trace, PlanDecision* decision_out);
+
 class ShardCoordinator {
  public:
   struct Options {
@@ -65,24 +81,33 @@ class ShardCoordinator {
     bool bound_pruning = true;
   };
 
-  /// Planner-driven scatter-gather (the sharded PlanAndRun): plans per
-  /// shard, then executes bound-ordered with skipping and threshold
-  /// seeding. With `explain` set, stops after planning; `decision_out`
-  /// (optional) receives the full decision of the highest-bound shard.
-  /// The result's estimate sums the per-shard predictions; its
-  /// predicted_quality is the minimum across shards.
+  /// Planner-driven scatter-gather: plans per shard, then executes
+  /// bound-ordered with skipping and threshold seeding. With `explain`
+  /// set, stops after planning; `decision_out` (optional) receives the
+  /// full decision of the highest-bound shard. The result's estimate sums
+  /// the per-shard predictions; its predicted_quality is the minimum
+  /// across shards. One shard: PlanAndRun over ShardContext(snapshot, 0).
   static Result<SearchResult> Run(
       const std::shared_ptr<const ShardedSnapshot>& snapshot,
       const QueryRequest& request, bool explain, bool trace,
       PlanDecision* decision_out, const Options& options);
 
   /// Forced-strategy scatter-gather with no planner in the loop (the
-  /// sharded MmDatabase::Execute): runs `strategy` on every visited
-  /// shard with `exec_options` (seeded per shard where applicable).
+  /// dynamic MmDatabase::Execute): runs `strategy` on every visited
+  /// shard with `exec_options` (seeded per shard where applicable). One
+  /// shard: a direct registry execution.
   static Result<TopNResult> Execute(
       const std::shared_ptr<const ShardedSnapshot>& snapshot,
       PhysicalStrategy strategy, const Query& query, size_t n,
       const ExecOptions& exec_options, const Options& options);
+
+  /// The exec context of shard `shard`: local ids under the snapshot's
+  /// global statistics, the shard's snapshot-scoped sparse cache, and
+  /// `fragmentation` (borrowed; may be null when no fragment strategy
+  /// runs). postings_owner pins the snapshot.
+  static ExecContext ShardContext(
+      const std::shared_ptr<const ShardedSnapshot>& snapshot, size_t shard,
+      const Fragmentation* fragmentation);
 };
 
 }  // namespace moa

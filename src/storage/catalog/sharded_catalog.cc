@@ -1,6 +1,8 @@
 #include "storage/catalog/sharded_catalog.h"
 
 #include <algorithm>
+#include <filesystem>
+#include <numeric>
 #include <sstream>
 
 namespace moa {
@@ -18,14 +20,25 @@ Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Build(
   catalog->shards_.reserve(options.num_shards);
   for (size_t s = 0; s < options.num_shards; ++s) {
     IndexCatalog::Options shard_options = options.shard;
-    if (!options.shard.dir.empty()) {
-      shard_options.dir = options.shard.dir + "/shard_" + std::to_string(s);
-    }
+    shard_options.dir = ShardDir(options, s);
     Result<std::unique_ptr<IndexCatalog>> shard = open_one(shard_options);
     if (!shard.ok()) return shard.status();
     catalog->shards_.push_back(std::move(shard).ValueOrDie());
   }
   return catalog;
+}
+
+std::string ShardedCatalog::ShardDir(const Options& options, size_t s) {
+  if (options.shard.dir.empty() || options.num_shards == 1) {
+    return options.shard.dir;
+  }
+  return options.shard.dir + "/shard_" + std::to_string(s);
+}
+
+bool ShardedCatalog::Exists(const Options& options) {
+  return !options.shard.dir.empty() &&
+         std::filesystem::exists(ShardDir(options, 0) + "/" +
+                                 kManifestFileName);
 }
 
 Result<std::unique_ptr<ShardedCatalog>> ShardedCatalog::Create(
@@ -66,6 +79,16 @@ Result<DocId> ShardedCatalog::AddDocument(const DocTerms& terms) {
 Result<std::vector<DocId>> ShardedCatalog::AddDocuments(
     const std::vector<DocTerms>& docs) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (shards_.size() == 1) {
+    // No routing to do: the batch goes through as is (no per-shard copy)
+    // and under the shard's own validation, empty batches included.
+    Result<DocId> first = shards_[0]->AddDocuments(docs);
+    if (!first.ok()) return first.status();
+    cached_.reset();
+    std::vector<DocId> ids(docs.size());
+    std::iota(ids.begin(), ids.end(), first.ValueOrDie());
+    return ids;
+  }
   if (docs.empty()) return std::vector<DocId>{};
 
   // Route greedily in input order against a simulated load vector, then
@@ -111,6 +134,10 @@ Status ShardedCatalog::DeleteDocument(DocId global) {
 Result<DocId> ShardedCatalog::UpdateDocument(DocId global,
                                              const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (shards_.size() == 1) {
+    cached_.reset();
+    return shards_[0]->UpdateDocument(global, terms);
+  }
   const size_t victim = ShardOf(global, shards_.size());
   MOA_RETURN_NOT_OK(
       shards_[victim]->DeleteDocument(LocalOf(global, shards_.size())));
@@ -301,6 +328,7 @@ std::vector<DocId> ShardedSnapshot::LiveDocIds() const {
 }
 
 std::string ShardedSnapshot::Describe() const {
+  if (entries_.size() == 1) return entries_[0]->state->Describe();
   std::ostringstream os;
   os << "sharded(" << entries_.size() << "): [";
   for (size_t s = 0; s < entries_.size(); ++s) {

@@ -13,6 +13,13 @@
 // a batch seeded into a pristine sharded catalog gets the *identity* ids
 // 0..k-1, exactly like a single catalog.
 //
+// One shard. N = 1 is the engine's unsharded catalog, so it behaves
+// exactly like the single IndexCatalog it wraps: the catalog lives in the
+// root directory itself (no shard_0/ subdirectory, so single catalogs
+// written earlier reopen), batches and updates pass straight through to
+// the shard (one WAL record and one publication per update), and
+// Describe() prints the shard state's own text.
+//
 // Snapshots. Snapshot() returns one ShardedSnapshot holding a consistent
 // vector of per-shard CatalogStates (taken under the catalog's mutation
 // lock, so no mutation interleaves the vector) plus the *global* live
@@ -65,20 +72,24 @@ class ShardedCatalog {
     /// with the same count the catalog was created with.
     size_t num_shards = 1;
     /// Per-shard catalog options. `shard.dir` is the *root* directory:
-    /// shard s lives in <root>/shard_<s>. Empty = memory-only shards.
+    /// with more than one shard, shard s lives in <root>/shard_<s>; a
+    /// single shard lives in <root> itself. Empty = memory-only shards.
     IndexCatalog::Options shard;
   };
 
-  /// Fresh empty sharded catalog (creates <root>/shard_<s> directories).
+  /// Fresh empty sharded catalog (creates the shard directories).
   static Result<std::unique_ptr<ShardedCatalog>> Create(const Options& options);
-  /// Recovers every shard from its <root>/shard_<s>/MANIFEST.
+  /// Recovers every shard from its MANIFEST.
   static Result<std::unique_ptr<ShardedCatalog>> Open(const Options& options);
+  /// True when `options.shard.dir` already holds a durable catalog of this
+  /// layout (shard 0's MANIFEST exists): Open it rather than Create.
+  static bool Exists(const Options& options);
 
   /// Adds one document to the least-loaded shard; returns its global id.
   Result<DocId> AddDocument(const DocTerms& terms);
   /// Adds a batch, routing greedily document-by-document (one per-shard
-  /// AddDocuments call per touched shard); returns the global ids in
-  /// input order.
+  /// AddDocuments call per touched shard; a single shard takes the batch
+  /// as is); returns the global ids in input order.
   Result<std::vector<DocId>> AddDocuments(const std::vector<DocTerms>& docs);
 
   /// Tombstones the document at global id `global` in its owning shard.
@@ -88,7 +99,8 @@ class ShardedCatalog {
   /// a fresh id (insertion-order id contract, same as a single catalog's
   /// delete+add), returns the new global id. Two state publications — a
   /// concurrent snapshot may observe the document deleted but not yet
-  /// re-added.
+  /// re-added. A single shard forwards to IndexCatalog::UpdateDocument
+  /// (one WAL record, one publication).
   Result<DocId> UpdateDocument(DocId global, const DocTerms& terms);
 
   /// Per-shard lifecycle, plus the all-shards conveniences the engine
@@ -137,6 +149,8 @@ class ShardedCatalog {
       const Options& options,
       Result<std::unique_ptr<IndexCatalog>> (*open_one)(
           const IndexCatalog::Options&));
+  /// Directory of shard s under the layout rule above ("" = memory-only).
+  static std::string ShardDir(const Options& options, size_t s);
 
   /// Shard with the smallest doc space (ties to the lowest index), based
   /// on the given per-shard doc-space vector. Callers mutate the vector
@@ -282,7 +296,8 @@ class ShardedSnapshot {
   std::vector<DocId> LiveDocIds() const;
 
   /// Human-readable per-shard composition, e.g.
-  /// "sharded(2): [shard 0: catalog v3: ...; shard 1: catalog v2: ...]".
+  /// "sharded(2): [shard 0: catalog v3: ...; shard 1: catalog v2: ...]";
+  /// a single shard prints its state's own text ("catalog v3: ...").
   std::string Describe() const;
 
  private:
