@@ -8,23 +8,34 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "optimizer/cost_model.h"
+#include "optimizer/strategy_planner.h"
 
 namespace moa {
 namespace {
+
+/// A strategy's predicted scalar cost under neutral storage inputs (the
+/// static in-memory file the bench database serves).
+double PredictedScalar(const StrategyPlanner& planner,
+                       PhysicalStrategy strategy, const Query& query,
+                       size_t n) {
+  PlanRequest request;
+  request.n = n;
+  request.force = strategy;
+  return planner.PlanForced(query, request).ValueOrDie().chosen.scalar;
+}
 
 void BM_CostModelPerStrategy(benchmark::State& state) {
   const auto strategy =
       static_cast<PhysicalStrategy>(state.range(0));
   MmDatabase& db = benchutil::Db();
   CardinalityEstimator est(&db.file(), &db.fragmentation());
-  CostModel model(&est);
+  const StrategyPlanner planner(&est, StrategyCostInputs{});
 
   double predicted = 0.0, measured = 0.0;
   for (auto _ : state) {
     predicted = measured = 0.0;
     for (const Query& q : benchutil::Workload()) {
-      predicted += model.Estimate(strategy, q, 10).scalar;
+      predicted += PredictedScalar(planner, strategy, q, 10);
       auto r = db.Execute(strategy, q, 10);
       measured += r.ValueOrDie().stats.cost.Scalar();
     }
@@ -46,7 +57,7 @@ BENCHMARK(BM_CostModelPerStrategy)
 void BM_CostModelRankAgreement(benchmark::State& state) {
   MmDatabase& db = benchutil::Db();
   CardinalityEstimator est(&db.file(), &db.fragmentation());
-  CostModel model(&est);
+  const StrategyPlanner planner(&est, StrategyCostInputs{});
   const auto strategies = AllStrategies();
 
   double mean_rho = 0.0;
@@ -57,7 +68,7 @@ void BM_CostModelRankAgreement(benchmark::State& state) {
     for (const Query& q : benchutil::Workload()) {
       std::vector<double> pred, meas;
       for (PhysicalStrategy s : strategies) {
-        pred.push_back(model.Estimate(s, q, 10).scalar);
+        pred.push_back(PredictedScalar(planner, s, q, 10));
         meas.push_back(
             db.Execute(s, q, 10).ValueOrDie().stats.cost.Scalar());
       }

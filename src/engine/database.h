@@ -46,7 +46,6 @@
 #include "ir/metrics.h"
 #include "obs/query_trace.h"
 #include "optimizer/explain.h"
-#include "optimizer/planner.h"
 #include "optimizer/strategy_planner.h"
 #include "storage/catalog/background_jobs.h"
 #include "storage/catalog/index_catalog.h"

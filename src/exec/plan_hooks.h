@@ -4,15 +4,13 @@
 // The Step-3 cost model used to keep one big switch over all strategies in
 // optimizer/cost_model.cc; that knowledge now lives with each executor
 // (exec/executors/*.cc) as a PlannerHooks bundle on its StrategyRegistry
-// entry. Two consumers read the hooks through the registry:
-//
-//   - CostModel (optimizer/cost_model.h) with *neutral* storage signals —
-//     bit-identical to the historical formulas, calibrated against the
-//     e5/e9/e11 benches;
-//   - StrategyPlanner (optimizer/strategy_planner.h) with signals derived
-//     from the live snapshot (codec decode cost, tombstone density,
-//     segment count, fragment-directory presence), which is what makes the
-//     per-query adaptive choice storage-aware.
+// entry. One consumer reads the hooks through the registry:
+// StrategyPlanner (optimizer/strategy_planner.h). With neutral
+// StrategyCostInputs{} it reproduces the historical static in-memory
+// formulas (calibrated against the e5/e9/e11 benches); with signals derived
+// from the live snapshot (codec decode cost, tombstone density, segment
+// count, fragment-directory presence) the per-query choice is
+// storage-aware.
 //
 // Formulas are pure functions of StrategyCostInputs: no executor state, no
 // storage access — planning a query must never touch a posting.

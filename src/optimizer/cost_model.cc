@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "exec/registry.h"
 
 namespace moa {
 
@@ -32,42 +31,6 @@ StrategyCostInputs BuildCostInputs(const CardinalityEstimator& est,
         static_cast<double>(est.ActiveTerms(query, FragmentId::kLarge));
   }
   return in;
-}
-
-CostModel::CostModel(const CardinalityEstimator* estimator)
-    : est_(estimator) {}
-
-bool CostModel::Available(PhysicalStrategy strategy, const Query& query) const {
-  const StrategyRegistry::Entry* entry =
-      StrategyRegistry::Global().Find(strategy);
-  if (entry == nullptr) return false;
-  const PlannerHooks& hooks = entry->planner;
-  if (hooks.cost == nullptr) return false;  // no model -> forced-only
-  if (hooks.needs_fragmentation && est_->fragmentation() == nullptr) {
-    return false;
-  }
-  if (hooks.needs_active_terms && est_->ActiveTerms(query) < 1) return false;
-  return true;
-}
-
-PlanCostEstimate CostModel::Estimate(PhysicalStrategy strategy,
-                                     const Query& query, size_t n) const {
-  PlanCostEstimate out;
-  out.strategy = strategy;
-  const StrategyRegistry::Entry* entry =
-      StrategyRegistry::Global().Find(strategy);
-  if (entry == nullptr || entry->planner.cost == nullptr) {
-    // Unregistered or model-less strategy: nothing to predict (scalar 0,
-    // and Available() already excludes it from cost-based choice).
-    return out;
-  }
-  // Neutral storage signals: the historical cost model assumed the static
-  // in-memory inverted file, so CostModel stays bit-identical to it (the
-  // storage-aware inputs are the StrategyPlanner's job).
-  const StrategyCostInputs in = BuildCostInputs(*est_, query, n);
-  out.predicted = entry->planner.cost(in);
-  out.scalar = out.predicted.Scalar();
-  return out;
 }
 
 }  // namespace moa

@@ -1,9 +1,12 @@
-// Centralized cost model over all physical top-N strategies (paper Step 3).
+// Cost inputs and estimates shared by every physical top-N strategy
+// (paper Step 3).
 //
 // "Using Moa, we have the means to handle all types of data in one algebra
 //  ... This allows us to keep the cost model much simpler." Every strategy
 // is costed in the same CostCounters currency the operators actually tick,
-// so estimates and measurements are directly comparable (bench E9).
+// so estimates and measurements are directly comparable (bench E9). The
+// formulas live with each executor (exec/plan_hooks.h); the one optimizer
+// that evaluates them is StrategyPlanner (optimizer/strategy_planner.h).
 #ifndef MOA_OPTIMIZER_COST_MODEL_H_
 #define MOA_OPTIMIZER_COST_MODEL_H_
 
@@ -22,8 +25,8 @@ namespace moa {
 /// Digests (query, n) into the inputs a strategy's registered cost hook
 /// consumes: cardinalities from `est`, fragment split when `est` carries a
 /// fragmentation, storage signals copied from `storage` (defaults =
-/// neutral static in-memory configuration). Shared by CostModel (neutral)
-/// and StrategyPlanner (snapshot-derived signals).
+/// neutral static in-memory configuration). StrategyPlanner's per-query
+/// input digest.
 StrategyCostInputs BuildCostInputs(const CardinalityEstimator& est,
                                    const Query& query, size_t n,
                                    const StrategyCostInputs& storage = {});
@@ -35,24 +38,6 @@ struct PlanCostEstimate {
   double scalar = 0.0;  ///< predicted.Scalar()
 
   std::string ToString() const;
-};
-
-/// \brief Analytic cost formulas per strategy.
-class CostModel {
- public:
-  /// \param estimator cardinality source; \param n_docs needed for bounds.
-  explicit CostModel(const CardinalityEstimator* estimator);
-
-  /// Predicts the work of running `strategy` for (query, n).
-  PlanCostEstimate Estimate(PhysicalStrategy strategy, const Query& query,
-                            size_t n) const;
-
-  /// Whether the strategy is executable in the current setup (fragment
-  /// strategies need a fragmentation; Fagin needs >= 1 active term).
-  bool Available(PhysicalStrategy strategy, const Query& query) const;
-
- private:
-  const CardinalityEstimator* est_;
 };
 
 }  // namespace moa

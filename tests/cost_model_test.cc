@@ -6,7 +6,7 @@
 #include <set>
 
 #include "optimizer/explain.h"
-#include "optimizer/planner.h"
+#include "optimizer/strategy_planner.h"
 #include "test_util.h"
 
 namespace moa {
@@ -16,15 +16,37 @@ using testutil::SmallCollectionWithImpacts;
 using testutil::SmallFragmentation;
 using testutil::SmallQueries;
 
+/// The request that forces `strategy` for (n): PlanForced costs only it.
+PlanRequest Forced(PhysicalStrategy strategy, size_t n = 10) {
+  PlanRequest request;
+  request.n = n;
+  request.force = strategy;
+  return request;
+}
+
+/// A strategy's predicted scalar cost under neutral storage inputs.
+double PredictedScalar(const StrategyPlanner& planner,
+                       PhysicalStrategy strategy, const Query& query,
+                       size_t n) {
+  return planner.PlanForced(query, Forced(strategy, n))
+      .ValueOrDie()
+      .chosen.scalar;
+}
+
+/// True when a candidate took part in cost-based choice.
+bool Eligible(const PlanCandidate& c) {
+  return c.reject == PlanReject::kNone || c.reject == PlanReject::kCostlier;
+}
+
 class CostModelTest : public ::testing::Test {
  protected:
   CostModelTest()
       : est_(&SmallCollectionWithImpacts().inverted_file(),
              &SmallFragmentation()),
-        model_(&est_) {}
+        planner_(&est_, StrategyCostInputs{}) {}
 
   CardinalityEstimator est_;
-  CostModel model_;
+  StrategyPlanner planner_;
 };
 
 TEST_F(CostModelTest, CardinalityVolumeSplitsAcrossFragments) {
@@ -62,24 +84,24 @@ TEST_F(CostModelTest, ActiveTermsSplitsAcrossFragments) {
 
 TEST_F(CostModelTest, AllStrategiesProduceFiniteEstimates) {
   for (PhysicalStrategy s : AllStrategies()) {
-    PlanCostEstimate e = model_.Estimate(s, SmallQueries()[0], 10);
-    EXPECT_GE(e.scalar, 0.0) << StrategyName(s);
-    EXPECT_TRUE(std::isfinite(e.scalar)) << StrategyName(s);
+    const double scalar = PredictedScalar(planner_, s, SmallQueries()[0], 10);
+    EXPECT_GE(scalar, 0.0) << StrategyName(s);
+    EXPECT_TRUE(std::isfinite(scalar)) << StrategyName(s);
   }
 }
 
 TEST_F(CostModelTest, SmallFragmentPredictedCheapest) {
-  const PlanCostEstimate small =
-      model_.Estimate(PhysicalStrategy::kSmallFragment, SmallQueries()[0], 10);
-  const PlanCostEstimate full =
-      model_.Estimate(PhysicalStrategy::kFullSort, SmallQueries()[0], 10);
-  EXPECT_LT(small.scalar, full.scalar);
+  const double small = PredictedScalar(
+      planner_, PhysicalStrategy::kSmallFragment, SmallQueries()[0], 10);
+  const double full = PredictedScalar(planner_, PhysicalStrategy::kFullSort,
+                                      SmallQueries()[0], 10);
+  EXPECT_LT(small, full);
 }
 
 TEST_F(CostModelTest, HeapPredictedCheaperThanFullSort) {
   for (const Query& q : SmallQueries()) {
-    EXPECT_LE(model_.Estimate(PhysicalStrategy::kHeap, q, 10).scalar,
-              model_.Estimate(PhysicalStrategy::kFullSort, q, 10).scalar);
+    EXPECT_LE(PredictedScalar(planner_, PhysicalStrategy::kHeap, q, 10),
+              PredictedScalar(planner_, PhysicalStrategy::kFullSort, q, 10));
   }
 }
 
@@ -93,12 +115,18 @@ TEST_F(CostModelTest, SafetyClassification) {
 
 TEST_F(CostModelTest, FragmentStrategiesUnavailableWithoutFragmentation) {
   CardinalityEstimator bare(&SmallCollectionWithImpacts().inverted_file());
-  CostModel model(&bare);
-  EXPECT_FALSE(
-      model.Available(PhysicalStrategy::kSmallFragment, SmallQueries()[0]));
-  EXPECT_FALSE(model.Available(PhysicalStrategy::kQualitySwitchFull,
-                               SmallQueries()[0]));
-  EXPECT_TRUE(model.Available(PhysicalStrategy::kFullSort, SmallQueries()[0]));
+  const StrategyPlanner planner(&bare, StrategyCostInputs{});
+  EXPECT_FALSE(planner
+                   .PlanForced(SmallQueries()[0],
+                               Forced(PhysicalStrategy::kSmallFragment))
+                   .ok());
+  EXPECT_FALSE(planner
+                   .PlanForced(SmallQueries()[0],
+                               Forced(PhysicalStrategy::kQualitySwitchFull))
+                   .ok());
+  EXPECT_TRUE(
+      planner.PlanForced(SmallQueries()[0], Forced(PhysicalStrategy::kFullSort))
+          .ok());
 }
 
 TEST_F(CostModelTest, StrategyNamesUniqueAndStable) {
@@ -110,12 +138,14 @@ TEST_F(CostModelTest, StrategyNamesUniqueAndStable) {
 // ------------------------------- planner ----------------------------------
 
 TEST_F(CostModelTest, PlannerPicksCheapestSafeStrategy) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.safe_only = true;
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
+  PlanRequest request;
+  request.quality_target = 1.0;  // safe strategies only
+  auto plan = planner_.Plan(SmallQueries()[0], request);
   ASSERT_TRUE(plan.ok());
-  const auto& alts = plan.ValueOrDie().alternatives;
+  std::vector<PlanCandidate> alts;
+  for (const PlanCandidate& c : plan.ValueOrDie().candidates) {
+    if (Eligible(c)) alts.push_back(c);
+  }
   ASSERT_GE(alts.size(), 2u);
   for (size_t i = 1; i < alts.size(); ++i) {
     EXPECT_LE(alts[i - 1].scalar, alts[i].scalar);
@@ -124,48 +154,46 @@ TEST_F(CostModelTest, PlannerPicksCheapestSafeStrategy) {
 }
 
 TEST_F(CostModelTest, PlannerUnsafeModeCanPickSmallFragment) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.safe_only = false;
+  PlanRequest request;
+  request.quality_target = 0.0;  // unsafe strategies admitted
   // Find a query with at least one large-fragment term so small-fragment
   // actually skips work.
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
+  auto plan = planner_.Plan(SmallQueries()[0], request);
   ASSERT_TRUE(plan.ok());
   bool unsafe_considered = false;
-  for (const auto& alt : plan.ValueOrDie().alternatives) {
-    if (!IsSafeStrategy(alt.strategy)) unsafe_considered = true;
+  for (const PlanCandidate& c : plan.ValueOrDie().candidates) {
+    if (Eligible(c) && !IsSafeStrategy(c.strategy)) unsafe_considered = true;
   }
   EXPECT_TRUE(unsafe_considered);
 }
 
 TEST_F(CostModelTest, PlannerHonorsForce) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.force = PhysicalStrategy::kFaginTA;
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
+  auto plan = planner_.Plan(SmallQueries()[0],
+                            Forced(PhysicalStrategy::kFaginTA));
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan.ValueOrDie().strategy, PhysicalStrategy::kFaginTA);
 }
 
 TEST_F(CostModelTest, PlannerHonorsExclude) {
-  Planner planner(&model_);
-  PlannerOptions opts;
-  opts.exclude = {PhysicalStrategy::kFaginTA, PhysicalStrategy::kFaginNRA,
-                  PhysicalStrategy::kFaginFA};
-  auto plan = planner.Plan(SmallQueries()[0], 10, opts);
+  PlanRequest request;
+  request.exclude = {PhysicalStrategy::kFaginTA, PhysicalStrategy::kFaginNRA,
+                     PhysicalStrategy::kFaginFA};
+  auto plan = planner_.Plan(SmallQueries()[0], request);
   ASSERT_TRUE(plan.ok());
-  for (const auto& alt : plan.ValueOrDie().alternatives) {
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginTA);
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginNRA);
-    EXPECT_NE(alt.strategy, PhysicalStrategy::kFaginFA);
+  for (const PlanCandidate& c : plan.ValueOrDie().candidates) {
+    if (!Eligible(c)) continue;
+    EXPECT_NE(c.strategy, PhysicalStrategy::kFaginTA);
+    EXPECT_NE(c.strategy, PhysicalStrategy::kFaginNRA);
+    EXPECT_NE(c.strategy, PhysicalStrategy::kFaginFA);
   }
 }
 
 TEST_F(CostModelTest, ExplainMentionsChosenStrategy) {
-  Planner planner(&model_);
-  auto plan = planner.Plan(SmallQueries()[0], 10, PlannerOptions{});
+  auto plan = planner_.Plan(SmallQueries()[0], PlanRequest{});
   ASSERT_TRUE(plan.ok());
-  const std::string text = ExplainPlan(plan.ValueOrDie());
+  ExplainReport report;
+  report.decision = plan.ValueOrDie();
+  const std::string text = report.ToString();
   EXPECT_NE(text.find(StrategyName(plan.ValueOrDie().strategy)),
             std::string::npos);
   EXPECT_NE(text.find("alternatives"), std::string::npos);

@@ -4,6 +4,7 @@
 
 #include "engine/database.h"
 #include "ir/metrics.h"
+#include "optimizer/strategy_planner.h"
 
 namespace moa {
 namespace {
@@ -116,12 +117,15 @@ TEST_P(WorldTest, CostModelRanksFragmentBelowFull) {
   // The planner's raison d'être: on Zipf data the fragment pass must be
   // predicted (and measured) cheaper than the full scan.
   CardinalityEstimator est(&db_->file(), &db_->fragmentation());
-  CostModel model(&est);
+  const StrategyPlanner planner(&est, StrategyCostInputs{});
+  const auto predicted = [&](PhysicalStrategy s, const Query& q) {
+    PlanRequest request;
+    request.force = s;
+    return planner.PlanForced(q, request).ValueOrDie().chosen.scalar;
+  };
   for (const Query& q : queries_) {
-    const auto small =
-        model.Estimate(PhysicalStrategy::kSmallFragment, q, 10);
-    const auto full = model.Estimate(PhysicalStrategy::kFullSort, q, 10);
-    EXPECT_LE(small.scalar, full.scalar);
+    EXPECT_LE(predicted(PhysicalStrategy::kSmallFragment, q),
+              predicted(PhysicalStrategy::kFullSort, q));
     auto r_small = db_->Execute(PhysicalStrategy::kSmallFragment, q, 10);
     auto r_full = db_->Execute(PhysicalStrategy::kFullSort, q, 10);
     ASSERT_TRUE(r_small.ok() && r_full.ok());
