@@ -85,14 +85,20 @@ void RunBatchOver(benchmark::State& state, const std::vector<Query>& queries,
   const size_t parallelism = static_cast<size_t>(state.range(0));
   MmDatabase& db = ThroughputDb();
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = benchutil::StrategyOrDie(strategy_name);
+  std::vector<QueryRequest> requests;
+  requests.reserve(queries.size());
+  for (const Query& q : queries) {
+    QueryRequest request;
+    request.query = q;
+    request.n = 10;
+    request.options.strategy = benchutil::StrategyOrDie(strategy_name);
+    request.options.quality_target = 0.0;
+    requests.push_back(request);
+  }
 
   BatchStats last;
   for (auto _ : state) {
-    auto r = db.SearchBatch(queries, opts, parallelism);
+    auto r = db.SearchBatch(requests, parallelism);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;

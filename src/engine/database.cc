@@ -518,15 +518,6 @@ Result<TopNResult> MmDatabase::Execute(const QueryRequest& request) const {
   return std::move(result).ValueOrDie().top;
 }
 
-Result<SearchResult> MmDatabase::Search(const Query& query,
-                                        const SearchOptions& options) const {
-  QueryRequest request;
-  request.query = query;
-  request.n = options.n;
-  request.options = options.ToQueryOptions();
-  return Search(request);
-}
-
 std::vector<ScoredDoc> MmDatabase::GroundTruth(const Query& query,
                                                size_t n) const {
   if (is_dynamic()) {
@@ -636,17 +627,6 @@ Result<ExplainReport> MmDatabase::ExplainSearch(
     report.trace.predicted_quality = report.decision.chosen.predicted_quality;
   }
   return report;
-}
-
-Result<std::string> MmDatabase::ExplainSearch(
-    const Query& query, const SearchOptions& options) const {
-  QueryRequest request;
-  request.query = query;
-  request.n = options.n;
-  request.options = options.ToQueryOptions();
-  Result<ExplainReport> report = ExplainSearch(request);
-  if (!report.ok()) return report.status();
-  return report.ValueOrDie().ToString();
 }
 
 }  // namespace moa

@@ -157,28 +157,6 @@ struct QueryRequest {
   QueryOptions options;
 };
 
-/// \brief Per-search options (legacy surface).
-/// \deprecated Use QueryRequest/QueryOptions; this maps onto them
-/// (`force` -> `strategy`, `safe_only` -> quality_target 1.0 / 0.0).
-struct SearchOptions {
-  size_t n = 10;
-  /// Only exact strategies may be chosen by the planner.
-  bool safe_only = true;
-  /// Force a specific strategy instead of cost-based choice.
-  std::optional<PhysicalStrategy> force;
-  /// Quality-switch threshold used by fragment strategies.
-  double switch_threshold = 0.0;
-
-  /// The QueryOptions this legacy bundle means.
-  QueryOptions ToQueryOptions() const {
-    QueryOptions q;
-    q.strategy = force;
-    q.quality_target = safe_only ? 1.0 : 0.0;
-    q.switch_threshold = switch_threshold;
-    return q;
-  }
-};
-
 /// \brief A search answer plus plan/bookkeeping.
 struct SearchResult {
   TopNResult top;
@@ -268,17 +246,6 @@ class MmDatabase {
   /// when request.options.strategy is set, cost-based otherwise), but
   /// returns just the TopNResult. Thread-safe.
   Result<TopNResult> Execute(const QueryRequest& request) const;
-
-  /// \deprecated Legacy shim over Search(QueryRequest); see
-  /// SearchOptions::ToQueryOptions for the mapping.
-  Result<SearchResult> Search(const Query& query,
-                              const SearchOptions& options) const;
-
-  /// \deprecated Legacy shim over SearchBatch(std::vector<QueryRequest>):
-  /// every query gets the same options.
-  Result<BatchSearchResult> SearchBatch(const std::vector<Query>& queries,
-                                        const SearchOptions& options,
-                                        size_t parallelism = 0) const;
 
   /// Executes a specific strategy directly, bypassing the planner (bench
   /// / harness path: no validation beyond the registry's own, so it can
@@ -383,10 +350,6 @@ class MmDatabase {
   /// (compressed blocks decoded vs skipped undecoded). Explain always
   /// runs the full candidate enumeration, forced strategies included.
   Result<ExplainReport> ExplainSearch(const QueryRequest& request) const;
-
-  /// \deprecated Legacy shim: ExplainSearch(QueryRequest).ToString().
-  Result<std::string> ExplainSearch(const Query& query,
-                                    const SearchOptions& options) const;
 
   /// Writes the collection as a compressed segment (MOAIF03 bit-packed,
   /// the writer default; atomic overwrite).

@@ -83,21 +83,4 @@ Result<BatchSearchResult> MmDatabase::SearchBatch(
   return out;
 }
 
-Result<BatchSearchResult> MmDatabase::SearchBatch(
-    const std::vector<Query>& queries, const SearchOptions& options,
-    size_t parallelism) const {
-  // Legacy shim: every query gets the same options.
-  std::vector<QueryRequest> requests;
-  requests.reserve(queries.size());
-  const QueryOptions qopts = options.ToQueryOptions();
-  for (const Query& query : queries) {
-    QueryRequest request;
-    request.query = query;
-    request.n = options.n;
-    request.options = qopts;
-    requests.push_back(std::move(request));
-  }
-  return SearchBatch(requests, parallelism);
-}
-
 }  // namespace moa

@@ -35,9 +35,13 @@
 #include "ir/query_gen.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/strategy_planner.h"
+#include "test_util.h"
 
 namespace moa {
 namespace {
+
+using testutil::ForcedOptions;
+using testutil::Requests;
 
 constexpr uint32_t kSeedDocs = 300;
 constexpr uint32_t kVocab = 700;
@@ -335,11 +339,8 @@ TEST_F(CatalogParityTest, DynamicSearchAcceptsEveryRegisteredStrategy) {
   // (and agree with the direct registry execution over the same
   // snapshot).
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-    auto r = mixed_->db->Search((*queries_)[0], opts);
+    auto r =
+        mixed_->db->Search(QueryRequest{(*queries_)[0], 10, ForcedOptions(s)});
     ASSERT_TRUE(r.ok()) << StrategyName(s) << ": " << r.status().ToString();
     EXPECT_EQ(r.ValueOrDie().strategy, s);
     auto direct = mixed_->db->Execute(s, (*queries_)[0], 10);
@@ -357,11 +358,8 @@ TEST_F(CatalogParityTest, SearchBatchOverCatalogMatchesSequential) {
   const std::vector<DocId> map = Mapping(*mixed_);
   const ExecContext ref_ctx = reference_->context();
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
-    auto batch = mixed_->db->SearchBatch(*queries_, opts, 4);
+    auto batch =
+        mixed_->db->SearchBatch(Requests(*queries_, 10, ForcedOptions(s)), 4);
     ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                             << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries_->size());
@@ -383,9 +381,7 @@ TEST_F(CatalogParityTest, DefaultSearchAndGroundTruthServeTheCatalog) {
     // Unforced dynamic Search routes through the cost-based planner: a
     // safe strategy (default quality target 1.0), chosen per query from
     // the snapshot's live statistics — no hard-coded default.
-    SearchOptions opts;
-    opts.n = 10;
-    auto r = mixed_->db->Search(q, opts);
+    auto r = mixed_->db->Search(QueryRequest{q, 10});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_TRUE(r.ValueOrDie().planned);
     EXPECT_TRUE(IsSafeStrategy(r.ValueOrDie().strategy))
@@ -460,22 +456,22 @@ TEST_F(CatalogParityTest, TombstonesAreInvisibleThroughEveryStage) {
 }
 
 TEST_F(CatalogParityTest, ExplainReportsStorageComposition) {
-  SearchOptions opts;
-  const auto text = mixed_->db->ExplainSearch((*queries_)[0], opts);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text.ValueOrDie().find("storage: catalog"), std::string::npos)
-      << text.ValueOrDie();
-  EXPECT_NE(text.ValueOrDie().find("memtable("), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("seg "), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("merged cursor"), std::string::npos);
+  const QueryRequest request{(*queries_)[0]};
+  const auto report = mixed_->db->ExplainSearch(request);
+  ASSERT_TRUE(report.ok());
+  const std::string text = report.ValueOrDie().ToString();
+  EXPECT_NE(text.find("storage: catalog"), std::string::npos) << text;
+  EXPECT_NE(text.find("memtable("), std::string::npos);
+  EXPECT_NE(text.find("seg "), std::string::npos);
+  EXPECT_NE(text.find("merged cursor"), std::string::npos);
 
   // Static databases report their storage too.
   auto static_db = MmDatabase::Open(BaseConfig(""));
   ASSERT_TRUE(static_db.ok());
-  const auto static_text =
-      static_db.ValueOrDie()->ExplainSearch((*queries_)[0], opts);
-  ASSERT_TRUE(static_text.ok());
-  EXPECT_NE(static_text.ValueOrDie().find("storage: in-memory inverted file"),
+  const auto static_report = static_db.ValueOrDie()->ExplainSearch(request);
+  ASSERT_TRUE(static_report.ok());
+  EXPECT_NE(static_report.ValueOrDie().ToString().find(
+                "storage: in-memory inverted file"),
             std::string::npos);
 }
 
@@ -537,12 +533,10 @@ TEST_F(CatalogParityTest, MutationsDuringSearchBatchAreSafe) {
     }
   });
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kHeap;
+  const std::vector<QueryRequest> requests =
+      Requests(*queries_, 10, ForcedOptions(PhysicalStrategy::kHeap));
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (const SearchResult& r : batch.ValueOrDie().results) {
       for (size_t i = 1; i < r.top.items.size(); ++i) {
@@ -592,12 +586,10 @@ TEST_F(CatalogParityTest, MutationsDuringShardedSearchBatchAreSafe) {
     }
   });
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kMaxScore;
+  const std::vector<QueryRequest> requests =
+      Requests(*queries_, 10, ForcedOptions(PhysicalStrategy::kMaxScore));
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (const SearchResult& r : batch.ValueOrDie().results) {
       for (size_t i = 1; i < r.top.items.size(); ++i) {
@@ -741,10 +733,8 @@ TEST_F(CatalogParityTest, AttachDetachDuringSearchBatchIsSafe) {
       std::string(::testing::TempDir()) + "/attach_race.moaseg";
   ASSERT_TRUE(db.SaveSegment(path).ok());
 
-  SearchOptions opts;
-  opts.n = 10;
-  opts.safe_only = false;
-  opts.force = PhysicalStrategy::kMaxScore;
+  const std::vector<QueryRequest> requests =
+      Requests(*queries_, 10, ForcedOptions(PhysicalStrategy::kMaxScore));
   std::vector<TopNResult> expected;
   for (const Query& q : *queries_) {
     expected.push_back(db.Execute(PhysicalStrategy::kMaxScore, q, 10)
@@ -761,7 +751,7 @@ TEST_F(CatalogParityTest, AttachDetachDuringSearchBatchIsSafe) {
   });
 
   for (int round = 0; round < 8; ++round) {
-    auto batch = db.SearchBatch(*queries_, opts, 4);
+    auto batch = db.SearchBatch(requests, 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     for (size_t i = 0; i < queries_->size(); ++i) {
       const TopNResult& got = batch.ValueOrDie().results[i].top;

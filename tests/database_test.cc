@@ -53,9 +53,7 @@ TEST_F(MmDatabaseTest, OpenRejectsBadConfig) {
 
 TEST_F(MmDatabaseTest, SearchSafeMatchesGroundTruthSet) {
   for (const Query& q : *queries_) {
-    SearchOptions opts;
-    opts.n = 10;
-    auto r = db_->Search(q, opts);
+    auto r = db_->Search(QueryRequest{q, 10});
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     auto truth = db_->GroundTruth(q, 10);
     auto scores = db_->GroundTruthScores(q);
@@ -95,19 +93,17 @@ TEST_F(MmDatabaseTest, SafeStrategiesAgreeOnTopSet) {
 }
 
 TEST_F(MmDatabaseTest, ForcedStrategyIsUsed) {
-  SearchOptions opts;
-  opts.n = 5;
-  opts.force = PhysicalStrategy::kHeap;
-  auto r = db_->Search((*queries_)[2], opts);
+  QueryOptions opts;
+  opts.strategy = PhysicalStrategy::kHeap;
+  auto r = db_->Search(QueryRequest{(*queries_)[2], 5, opts});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie().strategy, PhysicalStrategy::kHeap);
 }
 
 TEST_F(MmDatabaseTest, UnsafeSearchAllowsFragmentStrategy) {
-  SearchOptions opts;
-  opts.n = 5;
-  opts.safe_only = false;
-  auto r = db_->Search((*queries_)[3], opts);
+  QueryOptions opts;
+  opts.quality_target = 0.0;
+  auto r = db_->Search(QueryRequest{(*queries_)[3], 5, opts});
   ASSERT_TRUE(r.ok());
   // Whatever was chosen must have been the cheapest alternative.
   EXPECT_GT(r.ValueOrDie().estimate.scalar, 0.0);
@@ -209,9 +205,7 @@ TEST_F(MmDatabaseTest, ExplainReportsCodecAndSkippedBlocksOverSegment) {
 }
 
 TEST_F(MmDatabaseTest, SearchReportsWallTimeAndStats) {
-  SearchOptions opts;
-  opts.n = 10;
-  auto r = db_->Search((*queries_)[4], opts);
+  auto r = db_->Search(QueryRequest{(*queries_)[4], 10});
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.ValueOrDie().wall_millis, 0.0);
   EXPECT_GT(r.ValueOrDie().top.stats.cost.Scalar(), 0.0);

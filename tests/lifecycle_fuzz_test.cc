@@ -47,6 +47,7 @@
 #include "storage/catalog/manifest.h"
 #include "storage/catalog/sharded_catalog.h"
 #include "storage/catalog/wal.h"
+#include "test_util.h"
 
 namespace moa {
 namespace {
@@ -428,11 +429,8 @@ void RunIteration(uint64_t seed, int iteration) {
       const std::vector<Query> queries = RandomQueries(rng, 4);
       const PhysicalStrategy s =
           AllStrategies()[rng.Uniform(AllStrategies().size())];
-      SearchOptions opts;
-      opts.n = kTopN;
-      opts.safe_only = false;
-      opts.force = s;
-      auto batch = db.SearchBatch(queries, opts, 4);
+      auto batch = db.SearchBatch(
+          testutil::Requests(queries, kTopN, testutil::ForcedOptions(s)), 4);
       ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                               << batch.status().ToString();
       for (size_t i = 0; i < queries.size(); ++i) {
@@ -473,13 +471,13 @@ void RunIteration(uint64_t seed, int iteration) {
   }
 
   // Explain still names the storage composition.
-  SearchOptions opts;
-  opts.force = PhysicalStrategy::kQualitySwitchSparse;
-  opts.safe_only = false;
-  auto text = db.ExplainSearch(RandomQueries(rng, 1)[0], opts);
-  ASSERT_TRUE(text.ok());
-  EXPECT_NE(text.ValueOrDie().find("storage: catalog"), std::string::npos);
-  EXPECT_NE(text.ValueOrDie().find("fragmentation:"), std::string::npos);
+  auto report = db.ExplainSearch(QueryRequest{
+      RandomQueries(rng, 1)[0], 10,
+      testutil::ForcedOptions(PhysicalStrategy::kQualitySwitchSparse)});
+  ASSERT_TRUE(report.ok());
+  const std::string text = report.ValueOrDie().ToString();
+  EXPECT_NE(text.find("storage: catalog"), std::string::npos);
+  EXPECT_NE(text.find("fragmentation:"), std::string::npos);
 
   std::filesystem::remove_all(dir);
 }

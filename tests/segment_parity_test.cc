@@ -20,9 +20,13 @@
 #include "exec/registry.h"
 #include "ir/query_gen.h"
 #include "storage/segment/segment_reader.h"
+#include "test_util.h"
 
 namespace moa {
 namespace {
+
+using testutil::ForcedOptions;
+using testutil::Requests;
 
 DatabaseConfig TestConfig() {
   DatabaseConfig config;
@@ -96,13 +100,10 @@ TEST_F(SegmentParityTest, SegmentIsAttached) {
 
 TEST_F(SegmentParityTest, EveryStrategyMatchesBitForBitOverMmap) {
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
+    const QueryOptions opts = ForcedOptions(s);
     for (const Query& q : *queries_) {
-      auto expected = in_memory_->Search(q, opts);
-      auto actual = mapped_->Search(q, opts);
+      auto expected = in_memory_->Search(QueryRequest{q, 10, opts});
+      auto actual = mapped_->Search(QueryRequest{q, 10, opts});
       ASSERT_TRUE(expected.ok()) << StrategyName(s);
       ASSERT_TRUE(actual.ok()) << StrategyName(s) << ": "
                                << actual.status().ToString();
@@ -117,18 +118,15 @@ TEST_F(SegmentParityTest, SearchBatchOverMmapMatchesSequentialInMemory) {
   // search_batch_test's contract, now with the batch side reading
   // compressed blocks out of the mapping from 4 worker threads.
   for (PhysicalStrategy s : AllStrategies()) {
-    SearchOptions opts;
-    opts.n = 10;
-    opts.safe_only = false;
-    opts.force = s;
+    const QueryOptions opts = ForcedOptions(s);
 
     std::vector<SearchResult> sequential;
     for (const Query& q : *queries_) {
-      auto r = in_memory_->Search(q, opts);
+      auto r = in_memory_->Search(QueryRequest{q, 10, opts});
       ASSERT_TRUE(r.ok()) << StrategyName(s);
       sequential.push_back(std::move(r).ValueOrDie());
     }
-    auto batch = mapped_->SearchBatch(*queries_, opts, 4);
+    auto batch = mapped_->SearchBatch(Requests(*queries_, 10, opts), 4);
     ASSERT_TRUE(batch.ok()) << StrategyName(s) << ": "
                             << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries_->size());
@@ -146,16 +144,15 @@ TEST_F(SegmentParityTest, PlannerChosenSearchMatchesOverMmap) {
   // point of the planner). The parity contract: whatever safe strategy
   // the planner picks over the mapping must be bit-identical to the same
   // strategy over the in-memory file.
-  SearchOptions opts;
-  opts.n = 10;
+  const size_t n = 10;
   for (const Query& q : *queries_) {
-    auto actual = mapped_->Search(q, opts);
+    auto actual = mapped_->Search(QueryRequest{q, n});
     ASSERT_TRUE(actual.ok()) << actual.status().ToString();
     EXPECT_TRUE(actual.ValueOrDie().planned);
     EXPECT_TRUE(IsSafeStrategy(actual.ValueOrDie().strategy))
         << StrategyName(actual.ValueOrDie().strategy);
     auto expected =
-        in_memory_->Execute(actual.ValueOrDie().strategy, q, opts.n);
+        in_memory_->Execute(actual.ValueOrDie().strategy, q, n);
     ASSERT_TRUE(expected.ok());
     ExpectIdenticalTopN(expected.ValueOrDie(), actual.ValueOrDie().top,
                         "planner");

@@ -30,6 +30,7 @@
 #include "exec/registry.h"
 #include "ir/exact_eval.h"
 #include "storage/catalog/sharded_catalog.h"
+#include "test_util.h"
 
 namespace moa {
 namespace {
@@ -574,11 +575,9 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
 
     // SearchBatch fans out over the same coordinator (nested parallelism
     // degrades gracefully); forced runs must equal sequential Execute.
-    SearchOptions opts;
-    opts.n = kTopN;
-    opts.safe_only = false;
-    opts.force = PhysicalStrategy::kMaxScore;
-    auto batch = db.SearchBatch(queries, opts, 4);
+    const QueryOptions forced =
+        testutil::ForcedOptions(PhysicalStrategy::kMaxScore);
+    auto batch = db.SearchBatch(testutil::Requests(queries, kTopN, forced), 4);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch.ValueOrDie().results.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -591,14 +590,11 @@ TEST(ShardedCatalogTest, EngineShardedSearchMatchesUnsharded) {
     }
 
     // Explain names the sharded storage and the shard visit/skip split.
-    SearchOptions explain_opts;
-    explain_opts.n = kTopN;
-    auto text = db.ExplainSearch(queries[0], explain_opts);
-    ASSERT_TRUE(text.ok()) << text.status().ToString();
-    EXPECT_NE(text.ValueOrDie().find("storage: sharded("), std::string::npos)
-        << text.ValueOrDie();
-    EXPECT_NE(text.ValueOrDie().find("shards: visited"), std::string::npos)
-        << text.ValueOrDie();
+    auto report = db.ExplainSearch(QueryRequest{queries[0], kTopN});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::string text = report.ValueOrDie().ToString();
+    EXPECT_NE(text.find("storage: sharded("), std::string::npos) << text;
+    EXPECT_NE(text.find("shards: visited"), std::string::npos) << text;
   }
 }
 

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "engine/database.h"
 #include "ir/collection.h"
 #include "ir/query_gen.h"
 #include "ir/scoring.h"
@@ -70,6 +71,28 @@ inline const std::vector<Query>& SmallQueries() {
     return GenerateQueries(SmallCollectionWithImpacts(), config).ValueOrDie();
   }();
   return queries;
+}
+
+/// One request per query, all at `n` with the same options (the batch
+/// form of QueryRequest{query, n, options}).
+inline std::vector<QueryRequest> Requests(const std::vector<Query>& queries,
+                                          size_t n,
+                                          const QueryOptions& options = {}) {
+  std::vector<QueryRequest> requests;
+  requests.reserve(queries.size());
+  for (const Query& query : queries) {
+    requests.push_back(QueryRequest{query, n, options});
+  }
+  return requests;
+}
+
+/// Options forcing `strategy`. Quality target 0 admits every strategy;
+/// a forced request ignores the target anyway.
+inline QueryOptions ForcedOptions(PhysicalStrategy strategy) {
+  QueryOptions options;
+  options.strategy = strategy;
+  options.quality_target = 0.0;
+  return options;
 }
 
 }  // namespace testutil
