@@ -375,13 +375,6 @@ bool SampleTrace(size_t every) {
 Result<SearchResult> MmDatabase::RunQuery(const QueryRequest& request,
                                           bool explain,
                                           PlanDecision* decision_out) const {
-  // deadline_millis is reserved (ROADMAP item 4 will enforce it), but a
-  // negative value is malformed today, not merely unenforced — reject it
-  // instead of silently accepting a request no future version could honor.
-  if (request.options.deadline_millis < 0.0) {
-    return Status::InvalidArgument(
-        "query: deadline_millis must be >= 0 (0 = no deadline)");
-  }
   // One storage snapshot per query: plan and execution must see the same
   // state. The dynamic/static decision is read once; a query that raced
   // the first mutation onto the static side stays static end-to-end (the

@@ -142,11 +142,6 @@ struct QueryOptions {
   double quality_target = 1.0;
   /// Quality-switch threshold used by fragment strategies.
   double switch_threshold = 0.0;
-  /// Reserved: per-query deadline in milliseconds (0 = none). Validated —
-  /// negative values are rejected with InvalidArgument — but not yet
-  /// enforced (ROADMAP item 4, adaptive re-planning, will consume it);
-  /// carried so the wire format is stable.
-  double deadline_millis = 0.0;
 };
 
 /// \brief One retrieval query: the single entry point Search /
