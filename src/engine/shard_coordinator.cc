@@ -138,8 +138,9 @@ Result<TopNResult> ScatterGatherExec(
       const size_t s = order[next + i].shard;
       ran_on[i] = std::this_thread::get_id();
       results[i] = StrategyRegistry::Global().Execute(
-          strategy_by_shard[s], ShardCoordinator::ShardContext(snapshot, s, frag),
-          query, n, SeededOptions(base_options, strategy_by_shard[s], seed));
+          strategy_by_shard[s],
+          ShardCoordinator::ShardContext(snapshot, s, frag), query, n,
+          SeededOptions(base_options, strategy_by_shard[s], seed));
     };
     if (wave == 1) {
       body(0);

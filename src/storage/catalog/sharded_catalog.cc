@@ -72,7 +72,7 @@ Result<DocId> ShardedCatalog::AddDocument(const DocTerms& terms) {
   const size_t s = LeastLoaded(DocSpaces());
   Result<DocId> local = shards_[s]->AddDocument(terms);
   if (!local.ok()) return local.status();
-  cached_.reset();
+  InvalidateSnapshotCache();
   return GlobalOf(local.ValueOrDie(), s, shards_.size());
 }
 
@@ -84,7 +84,7 @@ Result<std::vector<DocId>> ShardedCatalog::AddDocuments(
     // and under the shard's own validation, empty batches included.
     Result<DocId> first = shards_[0]->AddDocuments(docs);
     if (!first.ok()) return first.status();
-    cached_.reset();
+    InvalidateSnapshotCache();
     std::vector<DocId> ids(docs.size());
     std::iota(ids.begin(), ids.end(), first.ValueOrDie());
     return ids;
@@ -112,7 +112,7 @@ Result<std::vector<DocId>> ShardedCatalog::AddDocuments(
     if (!first.ok()) return first.status();
     first_local[s] = first.ValueOrDie();
   }
-  cached_.reset();
+  InvalidateSnapshotCache();
 
   std::vector<DocId> ids(docs.size());
   std::vector<DocId> next_local = first_local;  // consecutive per shard
@@ -127,7 +127,7 @@ Status ShardedCatalog::DeleteDocument(DocId global) {
   std::lock_guard<std::mutex> lock(mutex_);
   const size_t s = ShardOf(global, shards_.size());
   Status status = shards_[s]->DeleteDocument(LocalOf(global, shards_.size()));
-  if (status.ok()) cached_.reset();
+  if (status.ok()) InvalidateSnapshotCache();
   return status;
 }
 
@@ -135,13 +135,13 @@ Result<DocId> ShardedCatalog::UpdateDocument(DocId global,
                                              const DocTerms& terms) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (shards_.size() == 1) {
-    cached_.reset();
+    InvalidateSnapshotCache();
     return shards_[0]->UpdateDocument(global, terms);
   }
   const size_t victim = ShardOf(global, shards_.size());
   MOA_RETURN_NOT_OK(
       shards_[victim]->DeleteDocument(LocalOf(global, shards_.size())));
-  cached_.reset();
+  InvalidateSnapshotCache();
   const size_t s = LeastLoaded(DocSpaces());
   Result<DocId> local = shards_[s]->AddDocument(terms);
   if (!local.ok()) return local.status();
@@ -151,21 +151,21 @@ Result<DocId> ShardedCatalog::UpdateDocument(DocId global,
 Status ShardedCatalog::Flush(size_t shard) {
   std::lock_guard<std::mutex> lock(mutex_);
   Status status = shards_[shard]->Flush();
-  if (status.ok()) cached_.reset();
+  if (status.ok()) InvalidateSnapshotCache();
   return status;
 }
 
 Status ShardedCatalog::FlushAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& shard : shards_) MOA_RETURN_NOT_OK(shard->Flush());
-  cached_.reset();
+  InvalidateSnapshotCache();
   return Status::OK();
 }
 
 Result<size_t> ShardedCatalog::Merge(size_t shard, const MergePolicy& policy) {
   std::lock_guard<std::mutex> lock(mutex_);
   Result<size_t> merged = shards_[shard]->Merge(policy);
-  if (merged.ok()) cached_.reset();
+  if (merged.ok()) InvalidateSnapshotCache();
   return merged;
 }
 
@@ -177,12 +177,28 @@ Result<size_t> ShardedCatalog::MergeAll(const MergePolicy& policy) {
     if (!merged.ok()) return merged.status();
     total += merged.ValueOrDie();
   }
-  cached_.reset();
+  InvalidateSnapshotCache();
   return total;
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedCatalog::Snapshot() const {
+  if (shards_.size() == 1) {
+    // The shard's state is the whole snapshot, so readers skip the
+    // mutation lock — writers hold it through their WAL fsync. The cache
+    // validates itself instead: it is rebuilt whenever the shard has
+    // published a newer state than the cached one wraps.
+    std::shared_ptr<const CatalogState> state = shards_[0]->Snapshot();
+    std::lock_guard<std::mutex> cache_lock(cache_mutex_);
+    if (cached_ == nullptr || cached_->version() < state->version()) {
+      std::vector<std::shared_ptr<const CatalogState>> states;
+      states.push_back(std::move(state));
+      cached_ = std::make_shared<const ShardedSnapshot>(std::move(states),
+                                                        options_.shard.scoring);
+    }
+    return cached_;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> cache_lock(cache_mutex_);
   if (cached_ == nullptr) {
     std::vector<std::shared_ptr<const CatalogState>> states;
     states.reserve(shards_.size());

@@ -112,7 +112,8 @@ class ShardedCatalog {
   Result<size_t> MergeAll(const MergePolicy& policy = {});
 
   /// The current consistent multi-shard snapshot (cached; rebuilt after a
-  /// mutation on first use).
+  /// mutation on first use). With one shard it never waits for a mutation
+  /// in flight, like IndexCatalog::Snapshot().
   std::shared_ptr<const ShardedSnapshot> Snapshot() const;
 
   /// Drops the cached snapshot so the next Snapshot() rebuilds from the
@@ -122,7 +123,7 @@ class ShardedCatalog {
   /// a merge compacts the shard's local ids, so a stale cached snapshot
   /// would map global ids wrongly.
   void InvalidateSnapshotCache() const {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(cache_mutex_);
     cached_.reset();
   }
 
@@ -161,11 +162,12 @@ class ShardedCatalog {
   Options options_;
   std::vector<std::unique_ptr<IndexCatalog>> shards_;
 
-  /// Serializes mutations and guards the snapshot cache. Per-shard
-  /// catalogs serialize internally too; this lock is what makes the
-  /// multi-shard routing decision + mutation atomic and the snapshot
-  /// vector consistent.
+  /// Serializes mutations. Per-shard catalogs serialize internally too;
+  /// this lock is what makes the multi-shard routing decision + mutation
+  /// atomic and, with more than one shard, the snapshot vector consistent
+  /// (Snapshot() collects the states under it). Taken before cache_mutex_.
   mutable std::mutex mutex_;
+  mutable std::mutex cache_mutex_;
   mutable std::shared_ptr<const ShardedSnapshot> cached_;  // null = stale
 };
 
